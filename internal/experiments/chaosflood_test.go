@@ -26,11 +26,11 @@ func chaosFloodSec(t *testing.T) float64 {
 // contract at the scenario level: an empty ChaosSpec injects nothing,
 // crashes nothing, runs one router incarnation, completes the flow,
 // balances every ledger, and replays bit-for-bit. (The zero-fault
-// kernel/cluster paths themselves are pinned bit-for-bit against the
-// pre-chaos goldens by the PR3/PR4 compat tests; the chaos scenario
-// is not byte-comparable to RunRouterFlood because its flow sender
-// deliberately arms the clock-driven retransmission timeout, so a
-// dead router can never hang it.)
+// kernel/cluster paths themselves are pinned bit-for-bit by the
+// artifact goldens under testdata/golden/ at the repo root; the
+// chaos scenario is not byte-comparable to RunRouterFlood because its
+// flow sender deliberately arms the clock-driven retransmission
+// timeout, so a dead router can never hang it.)
 func TestChaosZeroOverlayIsInertAndReplayable(t *testing.T) {
 	chaos, err := RunChaosFlood(quickChaosSpec(ChaosSpec{}))
 	if err != nil {
