@@ -11,9 +11,9 @@
 // All three guests here are written as resumable state machines
 // (guest.Step) so fleets of them run on the flyweight driver — a few
 // words of struct state per guest instead of a parked goroutine
-// stack. The Routine constructors wrap the same machines for the
-// goroutine driver; either way the request sequence is identical, so
-// histories replay bit-for-bit across drivers.
+// stack. Under Options.GoroutineGuests, guestSpawn wraps the same
+// machines for the goroutine driver; either way the request sequence
+// is identical, so histories replay bit-for-bit across drivers.
 package experiments
 
 import (
@@ -22,10 +22,10 @@ import (
 	"repro/internal/sim"
 )
 
-// floodGen is the resumable packet generator behind floodBody: send a
-// slot's frame (retrying transients within half a period), carry the
-// freq%pps remainder into the interval, sleep the jittered slot, and
-// repeat until the budget of packets is offered.
+// floodGen is the resumable packet generator behind floodBodyStep:
+// send a slot's frame (retrying transients within half a period),
+// carry the freq%pps remainder into the interval, sleep the jittered
+// slot, and repeat until the budget of packets is offered.
 type floodGen struct {
 	base     sim.Cycles
 	rem, pps uint64
@@ -96,9 +96,48 @@ func floodBodyStep(freq sim.Hz, pps, packets uint64, frame guest.Frame) guest.St
 	return g.start
 }
 
-// floodBody is floodBodyStep for the goroutine driver.
-func floodBody(freq sim.Hz, pps, packets uint64, frame guest.Frame) guest.Routine {
-	return guest.StepRoutine(floodBodyStep(freq, pps, packets, frame))
+// linkTarget is one link a direct-injection generator floods, and the
+// frame it puts on it.
+type linkTarget struct {
+	link  *cluster.Link
+	frame cluster.Frame
+}
+
+// linkFloodStep returns the first cluster model's packet generator as
+// a resumable state machine: inject this slot's frame onto every
+// target link (host-side calls, fine mid-activation), bill one sendto,
+// sleep out the jittered slot, and repeat until `packets` slots are
+// spent. pc tracks which request the last activation posted.
+func linkFloodStep(freq sim.Hz, pps, packets uint64, targets []linkTarget) guest.Step {
+	interval := sim.Cycles(uint64(freq) / pps)
+	if interval == 0 {
+		interval = 1
+	}
+	var pc int
+	var n uint64
+	var step guest.Step
+	step = func(ctx guest.Context, _ guest.Resume) guest.Step {
+		switch pc {
+		case 1: // sendto billed; sleep out the slot
+			pc = 2
+			ctx.Sleep(ctx.Rand().Jitter(interval, interval/4+1))
+			return step
+		case 2: // slot done
+			n++
+			pc = 0
+		}
+		if n >= packets {
+			return nil
+		}
+		for _, tg := range targets {
+			tg.link.Send(tg.frame)
+		}
+		pc = 1
+		//simlint:errno-ok modeled flood binary never checks errno; the bill charges the attempt
+		ctx.Syscall("sendto")
+		return step
+	}
+	return step
 }
 
 // AckFlowConfig parameterises one ack-paced transfer.
@@ -401,11 +440,6 @@ func AckPacedSenderStep(cfg AckFlowConfig, stats *AckFlowStats) guest.Step {
 	return g.start
 }
 
-// AckPacedSender is AckPacedSenderStep for the goroutine driver.
-func AckPacedSender(cfg AckFlowConfig, stats *AckFlowStats) guest.Routine {
-	return guest.StepRoutine(AckPacedSenderStep(cfg, stats))
-}
-
 // ackEchoGen is the resumable echo daemon: block for traffic, drain
 // the receive buffer with briefly-retried reads, and ack each
 // matching data frame back to its own source.
@@ -474,11 +508,6 @@ func (g *ackEchoGen) afterSendAck(ctx guest.Context, _ guest.Resume) guest.Step 
 func AckEchoStep(flow uint32) guest.Step {
 	g := &ackEchoGen{flow: flow}
 	return g.start
-}
-
-// AckEcho is AckEchoStep for the goroutine driver.
-func AckEcho(flow uint32) guest.Routine {
-	return guest.StepRoutine(AckEchoStep(flow))
 }
 
 // ackEchoRetryCycles bounds the echo daemon's backoff on an injected

@@ -22,7 +22,7 @@ func TestRunAllMatchesSequentialRun(t *testing.T) {
 		}
 		want[i] = out
 	}
-	got, err := RunAll(specs, 3)
+	got, err := Campaign("campaign", specs, 3, Run, runDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRunAllReportsEarliestError(t *testing.T) {
 		{Opts: o, Workload: "bogus-1"},
 		{Opts: o, Workload: "bogus-2"},
 	}
-	_, err := RunAll(specs, 3)
+	_, err := Campaign("campaign", specs, 3, Run, runDesc)
 	if err == nil {
 		t.Fatal("want error")
 	}

@@ -8,22 +8,18 @@
 // inflating while the process-aware-billed victim's stays put.
 //
 // Cluster runs are RunSpec-shaped work for the campaign engine: a
-// figure declares its whole []ClusterRunSpec matrix and
-// RunAllClusters shards the independent clusters across the same
-// worker pool RunAll uses, with the same declaration-order,
-// byte-identical-results contract.
+// figure declares its whole []ClusterRunSpec matrix and Campaign
+// shards the independent clusters across the worker pool, with the
+// same declaration-order, byte-identical-results contract.
 package experiments
 
 import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/guest"
-	"repro/internal/kernel"
 	"repro/internal/metering"
 	"repro/internal/sim"
 	"repro/internal/textplot"
-	"repro/internal/workloads"
 )
 
 // ClusterVictim describes one victim machine in a cluster scenario.
@@ -48,7 +44,8 @@ type ClusterRunSpec struct {
 	FloodPPS uint64
 	// FloodSeconds is the attacker's transmit duration in virtual
 	// seconds; zero derives 1.5x the longest victim baseline (so the
-	// flood outlives every victim).
+	// flood outlives every victim), and a negative, NaN or infinite
+	// value is an error.
 	FloodSeconds float64
 	// LinkLatencyUs is the one-way link latency; zero selects
 	// cluster.DefaultLatencyUs.
@@ -100,13 +97,6 @@ type ClusterOut struct {
 	ElapsedSec float64
 }
 
-// clusterSeed derives machine i's seed from the campaign seed:
-// deterministic, collision-free for small i, and distinct from the
-// single-machine runs of the same campaign.
-func clusterSeed(seed int64, i int) int64 {
-	return seed*1_000_003 + int64(i+1)
-}
-
 // clusterElapsedSec reports the slowest machine's virtual wall time —
 // the shared ElapsedSec semantics of every cluster harvest.
 func clusterElapsedSec(cl *cluster.Cluster) float64 {
@@ -127,9 +117,6 @@ func victimAccountants(billing string, tick sim.Cycles) ([]metering.Accountant, 
 		"tsc":           func() metering.Accountant { return metering.NewTSC() },
 		"process-aware": func() metering.Accountant { return metering.NewProcessAware() },
 	}
-	if billing == "" {
-		billing = "jiffy"
-	}
 	if _, ok := mk[billing]; !ok {
 		return nil, fmt.Errorf("cluster: unknown billing scheme %q (have %v)", billing, Schemes)
 	}
@@ -142,133 +129,25 @@ func victimAccountants(billing string, tick sim.Cycles) ([]metering.Accountant, 
 	return accts, nil
 }
 
-// floodSeconds resolves the attacker's transmit duration.
-func (spec ClusterRunSpec) floodSeconds(o Options) (float64, error) {
-	if spec.FloodSeconds > 0 {
-		return spec.FloodSeconds, nil
-	}
-	var longest float64
-	for _, v := range spec.Victims {
-		w, err := workloads.SpecByKey(v.Workload)
-		if err != nil {
-			return 0, err
-		}
-		if s := w.BaselineSeconds * o.Scale; s > longest {
-			longest = s
-		}
-	}
-	return longest * 1.5, nil
-}
-
 // RunCluster executes one flood scenario: machine 0 is the attacker,
 // machines 1..N are the victims, one attacker→victim link each. The
-// whole cluster advances in lockstep, so the run is a pure function
-// of the spec.
+// attacker's packet generator injects one frame per slot onto every
+// victim link for the flood window, with the same deterministic
+// inter-send jitter the local flood model uses, then exits — a
+// finite, replayable transmit schedule. The whole cluster advances in
+// lockstep, so the run is a pure function of the spec.
 func RunCluster(spec ClusterRunSpec) (*ClusterOut, error) {
-	o := spec.Opts.norm()
 	if len(spec.Victims) == 0 {
 		return nil, fmt.Errorf("cluster: no victim machines in spec")
 	}
-	floodSec, err := spec.floodSeconds(o)
-	if err != nil {
-		return nil, err
+	sc := &scenario{
+		o: spec.Opts.norm(), family: "cluster", key: clusterKey(spec),
+		window: spec.FloodSeconds, windowField: "FloodSeconds",
+		roles: []role{{kind: attacker, content: "junk-ip packet generator v1", pps: spec.FloodPPS, direct: true}},
 	}
-	tick := sim.Cycles(uint64(o.Freq) / o.HZ)
-
-	launches := make([]*launched, len(spec.Victims))
-	machines := make([]cluster.MachineSpec, 0, len(spec.Victims)+1)
-
-	// Machine 0: the attacker. Its packet generator offers FloodPPS
-	// frames per second on every victim link for floodSec, with the
-	// same deterministic inter-send jitter the local flood model
-	// uses, then exits — a finite, replayable transmit schedule.
-	attackerCfg := o.machineConfig()
-	attackerCfg.Seed = clusterSeed(o.Seed, 0)
-	machines = append(machines, cluster.MachineSpec{
-		Config: attackerCfg,
-		Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
-			if spec.FloodPPS == 0 {
-				return nil // silent attacker: machine finishes at boot
-			}
-			type target struct {
-				link  *cluster.Link
-				frame cluster.Frame
-			}
-			targets := make([]target, len(spec.Victims))
-			for i := range spec.Victims {
-				targets[i] = target{
-					link:  c.Link(i),
-					frame: cluster.Frame{Src: c.AddrOf(0), Dst: c.AddrOf(i + 1)},
-				}
-			}
-			interval := sim.Cycles(uint64(o.Freq) / spec.FloodPPS)
-			if interval == 0 {
-				interval = 1
-			}
-			packets := uint64(floodSec * float64(spec.FloodPPS))
-			// The generator as a resumable state machine: inject this
-			// slot's frames onto every victim link (host-side calls,
-			// fine mid-activation), bill one sendto, sleep out the
-			// jittered slot, repeat. pc tracks which request the last
-			// activation posted.
-			var pc int
-			var n uint64
-			var step guest.Step
-			step = func(ctx guest.Context, _ guest.Resume) guest.Step {
-				switch pc {
-				case 1: // sendto billed; sleep out the slot
-					pc = 2
-					ctx.Sleep(ctx.Rand().Jitter(interval, interval/4+1))
-					return step
-				case 2: // slot done
-					n++
-					pc = 0
-				}
-				if n >= packets {
-					return nil
-				}
-				for _, tg := range targets {
-					tg.link.Send(tg.frame)
-				}
-				pc = 1
-				//simlint:errno-ok modeled flood binary never checks errno; the bill charges the attempt
-				ctx.Syscall("sendto")
-				return step
-			}
-			_, err := m.Spawn(guestSpawn(o, "pktgen", "junk-ip packet generator v1", step))
-			return err
-		},
-	})
-
 	for i, v := range spec.Victims {
-		i, v := i, v
-		accts, err := victimAccountants(v.Billing, tick)
-		if err != nil {
-			return nil, err
-		}
-		victimCfg := o.machineConfig()
-		victimCfg.Seed = clusterSeed(o.Seed, i+1)
-		victimCfg.Accountants = accts
-		machines = append(machines, cluster.MachineSpec{
-			Config: victimCfg,
-			Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-				l, err := launchSpec(m, RunSpec{
-					Opts:       o,
-					Workload:   v.Workload,
-					VictimNice: v.Nice,
-				})
-				if err != nil {
-					return err
-				}
-				launches[i] = l
-				return nil
-			},
-		})
-	}
-
-	links := make([]cluster.LinkSpec, len(spec.Victims))
-	for i := range spec.Victims {
-		links[i] = cluster.LinkSpec{
+		sc.roles = append(sc.roles, role{kind: host, victim: v})
+		sc.links = append(sc.links, cluster.LinkSpec{
 			From: 0, To: i + 1,
 			LatencyUs:        spec.LinkLatencyUs,
 			PacketsPerSecond: spec.LinkPPS,
@@ -276,49 +155,22 @@ func RunCluster(spec ClusterRunSpec) (*ClusterOut, error) {
 			RED:              spec.LinkRED,
 			Qdisc:            spec.LinkQdisc,
 			QuantumBytes:     spec.LinkQuantumBytes,
-		}
+		})
 	}
-
-	cl, err := cluster.New(cluster.Config{Machines: machines, Links: links})
+	r, err := runScenario(sc)
 	if err != nil {
 		return nil, err
 	}
-	if err := cl.Run(); err != nil {
-		return nil, fmt.Errorf("cluster %s: %w", clusterKey(spec), err)
-	}
-
-	out := &ClusterOut{Spec: spec, ElapsedSec: clusterElapsedSec(cl)}
+	out := &ClusterOut{Spec: spec, Victims: r.hosts, ElapsedSec: r.elapsed}
 	for i := range spec.Victims {
-		m := cl.Machine(i + 1)
-		billing := spec.Victims[i].Billing
-		if billing == "" {
-			billing = "jiffy"
-		}
-		out.Victims = append(out.Victims, ClusterVictimOut{
-			Billing:         billing,
-			Run:             launches[i].harvest(m),
-			PacketsReceived: m.NIC().Received(),
-		})
-		out.PacketsSent = append(out.PacketsSent, cl.Link(i).Sent())
-		out.PacketsDropped = append(out.PacketsDropped, cl.Link(i).Dropped())
+		out.PacketsSent = append(out.PacketsSent, r.cl.Link(i).Sent())
+		out.PacketsDropped = append(out.PacketsDropped, r.cl.Link(i).Dropped())
 	}
 	return out, nil
 }
 
 func clusterKey(spec ClusterRunSpec) string {
 	return fmt.Sprintf("%d-victims/%dpps", len(spec.Victims), spec.FloodPPS)
-}
-
-// RunAllClusters executes every cluster scenario on its own lockstep
-// machine set, sharding whole clusters across the campaign worker
-// pool, and returns results in declaration order with the earliest
-// declared failure reported — the RunAll contract, one level up.
-//
-// Deprecated: RunAllClusters is Campaign("cluster", ...) over RunCluster;
-// new callers should use Campaign directly. Kept as a thin wrapper
-// for the pre-generic API.
-func RunAllClusters(specs []ClusterRunSpec, parallelism int) ([]*ClusterOut, error) {
-	return Campaign("cluster", specs, parallelism, RunCluster, clusterKey)
 }
 
 // victimBillSeconds reads a victim's billed (user, system) seconds
@@ -353,7 +205,7 @@ func clusterFloodWith(o Options, linkPPS, queueDepth uint64) (*Figure, error) {
 	for i, pps := range rates {
 		specs[i] = ClusterRunSpec{Opts: o, Victims: victims, FloodPPS: pps, LinkPPS: linkPPS, LinkQueueDepth: queueDepth}
 	}
-	outs, err := RunAllClusters(specs, o.Parallelism)
+	outs, err := Campaign("cluster", specs, o.Parallelism, RunCluster, clusterKey)
 	if err != nil {
 		return nil, fmt.Errorf("cluster flood: %w", err)
 	}

@@ -125,12 +125,12 @@ func TestLosslessInfiniteRateReplaysClusterArtifact(t *testing.T) {
 	}
 }
 
-// TestRunAllClustersReportsEarliestError mirrors RunAll's
+// TestRunAllClustersReportsEarliestError mirrors Campaign's
 // deterministic error contract one level up.
 func TestRunAllClustersReportsEarliestError(t *testing.T) {
 	bad := quickClusterSpec(1000)
 	bad.Victims = []ClusterVictim{{Workload: "bogus"}}
-	_, err := RunAllClusters([]ClusterRunSpec{quickClusterSpec(1000), bad, bad}, 3)
+	_, err := Campaign("cluster", []ClusterRunSpec{quickClusterSpec(1000), bad, bad}, 3, RunCluster, clusterKey)
 	if err == nil {
 		t.Fatal("want error")
 	}

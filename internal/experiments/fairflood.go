@@ -16,8 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/guest"
-	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/textplot"
 )
@@ -41,7 +39,8 @@ type FairFloodSpec struct {
 	// frames, ~18 serialisation slots each).
 	AttackerBytes uint32
 	// FloodSeconds is the attacker's transmit duration; zero derives
-	// 1.5x the victim workload's baseline.
+	// 1.5x the victim workload's baseline, and a negative, NaN or
+	// infinite value is an error.
 	FloodSeconds float64
 	// Victim is the billed job on the victim host.
 	Victim ClusterVictim
@@ -95,162 +94,58 @@ type FairFloodOut struct {
 // fairFloodFlowID tags the well-behaved transfer; junk rides flow 0.
 const fairFloodFlowID = 9
 
-// RunFairFlood executes one scenario.
+// RunFairFlood executes one scenario. The victim host's echo daemon
+// runs at high priority, like the softirq half of a real network
+// stack: ack latency then reflects the wire under test, not the
+// victim workload's timeslice.
 func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
-	o := spec.Opts.norm()
 	if spec.FlowFrames == 0 {
 		return nil, fmt.Errorf("fairflood: FlowFrames must be ≥ 1 (the flow is what fairness is measured on)")
 	}
-	floodSec := spec.FloodSeconds
-	if floodSec == 0 {
-		s, err := (ClusterRunSpec{Victims: []ClusterVictim{spec.Victim}}).floodSeconds(o)
-		if err != nil {
-			return nil, err
-		}
-		floodSec = s
-	}
-	tick := sim.Cycles(uint64(o.Freq) / o.HZ)
-	accts, err := victimAccountants(spec.Victim.Billing, tick)
-	if err != nil {
-		return nil, err
-	}
+	o := spec.Opts.norm()
 	perUs := sim.Cycles(uint64(o.Freq) / 1_000_000)
-	junkBytes := spec.AttackerBytes
-	if junkBytes == 0 {
-		junkBytes = 1500
-	}
-	flowBytes := spec.FlowBytes
-	if flowBytes == 0 {
-		flowBytes = 256
-	}
-	timeoutUs := spec.FlowTimeoutUs
-	if timeoutUs == 0 {
-		timeoutUs = 20_000
-	}
-	egressPPS := spec.EgressPPS
-	if egressPPS == 0 {
-		egressPPS = 30_000
-	}
-
 	const attackerIdx, senderIdx, victimIdx = 0, 1, 2
-
-	attackerCfg := o.machineConfig()
-	attackerCfg.Seed = clusterSeed(o.Seed, attackerIdx)
-	senderCfg := o.machineConfig()
-	senderCfg.Seed = clusterSeed(o.Seed, senderIdx)
-	victimCfg := o.machineConfig()
-	victimCfg.Seed = clusterSeed(o.Seed, victimIdx)
-	victimCfg.Accountants = accts
-
-	flowStats := &AckFlowStats{}
-	var launch *launched
-	machines := []cluster.MachineSpec{
-		{
-			Name:   "attacker",
-			Config: attackerCfg,
-			Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
-				if spec.AttackerPPS == 0 {
-					return nil // silent baseline
-				}
-				packets := uint64(floodSec * float64(spec.AttackerPPS))
-				_, err := m.Spawn(guestSpawn(o, "pktgen", "junk-ip packet generator v4 (mtu frames)",
-					floodBodyStep(o.Freq, spec.AttackerPPS, packets,
-						guest.Frame{Dst: c.AddrOf(victimIdx), Bytes: junkBytes})))
-				return err
-			},
-		},
-		{
-			Name:   "sender",
-			Config: senderCfg,
-			Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
-				_, err := m.Spawn(guestSpawn(o, "flowsend", "ack-paced ecn sender v2 (clock rto)",
-					AckPacedSenderStep(AckFlowConfig{
-						Peer:          c.AddrOf(victimIdx),
-						Flow:          fairFloodFlowID,
-						Frames:        spec.FlowFrames,
-						Window:        spec.FlowWindow,
-						PaceCycles:    500 * perUs, // ≤2k pps offered
-						TimeoutCycles: sim.Cycles(timeoutUs) * perUs,
-						FrameBytes:    flowBytes,
-					}, flowStats)))
-				return err
-			},
-		},
-		{
-			Name:    "victim",
-			Config:  victimCfg,
-			Service: true, // the echo daemon never exits
-			Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-				// The echo daemon runs at high priority, like the
-				// softirq half of a real network stack: ack latency
-				// then reflects the wire under test, not the victim
-				// workload's timeslice.
-				echod := guestSpawn(o, "echod", "per-flow ack echo daemon v1",
-					AckEchoStep(fairFloodFlowID))
-				echod.Nice = -15
-				if _, err := m.Spawn(echod); err != nil {
-					return err
-				}
-				l, err := launchSpec(m, RunSpec{
-					Opts:       o,
-					Workload:   spec.Victim.Workload,
-					VictimNice: spec.Victim.Nice,
-				})
-				if err != nil {
-					return err
-				}
-				launch = l
-				return nil
-			},
-		},
-	}
-
 	// Both uplinks serialise through one shared egress pipe — the
 	// discipline under test.
 	egress := cluster.LinkSpec{
 		To:               victimIdx,
 		LatencyUs:        spec.LinkLatencyUs,
-		PacketsPerSecond: egressPPS,
+		PacketsPerSecond: orDefault(spec.EgressPPS, 30_000),
 		QueueDepth:       spec.EgressQueueDepth,
 		RED:              spec.RED,
 		Qdisc:            spec.Qdisc,
 		QuantumBytes:     spec.QuantumBytes,
 		Bottleneck:       "egress",
 	}
-	junkLink := egress
-	junkLink.From = attackerIdx
-	flowLink := egress
-	flowLink.From = senderIdx
-
-	cl, err := cluster.New(cluster.Config{
-		Machines: machines,
-		Links:    []cluster.LinkSpec{junkLink, flowLink},
+	junkLink, flowLink := egress, egress
+	junkLink.From, flowLink.From = attackerIdx, senderIdx
+	r, err := runScenario(&scenario{
+		o: o, family: "fairflood", key: fairFloodKey(spec),
+		window: spec.FloodSeconds, windowField: "FloodSeconds",
+		roles: []role{
+			{kind: attacker, name: "attacker", content: "junk-ip packet generator v4 (mtu frames)",
+				pps: spec.AttackerPPS, dst: victimIdx, bytes: orDefault(spec.AttackerBytes, 1500)},
+			{kind: sender, name: "sender", content: "ack-paced ecn sender v2 (clock rto)", dst: victimIdx, flow: AckFlowConfig{
+				Flow:          fairFloodFlowID,
+				Frames:        spec.FlowFrames,
+				Window:        spec.FlowWindow,
+				PaceCycles:    500 * perUs, // ≤2k pps offered
+				TimeoutCycles: sim.Cycles(orDefault(spec.FlowTimeoutUs, 20_000)) * perUs,
+				FrameBytes:    orDefault(spec.FlowBytes, 256),
+			}},
+			{kind: host, name: "victim", victim: spec.Victim, echo: fairFloodFlowID, echoNice: -15},
+		},
+		links: []cluster.LinkSpec{junkLink, flowLink},
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := cl.Run(); err != nil {
-		return nil, fmt.Errorf("fairflood %s: %w", fairFloodKey(spec), err)
-	}
-	if launch.prog != nil && !launch.prog.Done {
-		return nil, fmt.Errorf("fairflood %s: victim workload retired before completion (stalled behind the service daemon?)", fairFloodKey(spec))
-	}
-
-	vm := cl.Machine(victimIdx)
-	billing := spec.Victim.Billing
-	if billing == "" {
-		billing = "jiffy"
-	}
-	junk, flow := cl.Link(0), cl.Link(1)
-	out := &FairFloodOut{
-		Spec: spec,
-		Victim: ClusterVictimOut{
-			Billing:         billing,
-			Run:             launch.harvest(vm),
-			PacketsReceived: vm.NIC().Received(),
-		},
-		Flow:               *flowStats,
-		FlowDoneSec:        cl.Machine(senderIdx).Clock().Seconds(flowStats.DoneAt),
+	junk, flow := r.cl.Link(0), r.cl.Link(1)
+	return &FairFloodOut{
+		Spec:               spec,
+		Victim:             r.hosts[0],
+		Flow:               r.flow,
+		FlowDoneSec:        r.cl.Machine(senderIdx).Clock().Seconds(r.flow.DoneAt),
 		JunkOffered:        junk.Sent(),
 		JunkDelivered:      junk.Delivered(),
 		JunkDropped:        junk.Dropped(),
@@ -259,9 +154,8 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 		FlowDropped:        flow.Dropped(),
 		EgressMarked:       junk.Marked() + flow.Marked(),
 		EgressEarlyDropped: junk.EarlyDropped() + flow.EarlyDropped(),
-		ElapsedSec:         clusterElapsedSec(cl),
-	}
-	return out, nil
+		ElapsedSec:         r.elapsed,
+	}, nil
 }
 
 func fairFloodKey(spec FairFloodSpec) string {
@@ -270,16 +164,6 @@ func fairFloodKey(spec FairFloodSpec) string {
 		q = cluster.QdiscFIFO
 	}
 	return fmt.Sprintf("%s/%dpps", q, spec.AttackerPPS)
-}
-
-// RunAllFairFloods executes every scenario on its own lockstep
-// machine set across the campaign worker pool — the RunAll contract.
-//
-// Deprecated: RunAllFairFloods is Campaign("fairflood", ...) over RunFairFlood;
-// new callers should use Campaign directly. Kept as a thin wrapper
-// for the pre-generic API.
-func RunAllFairFloods(specs []FairFloodSpec, parallelism int) ([]*FairFloodOut, error) {
-	return Campaign("fairflood", specs, parallelism, RunFairFlood, fairFloodKey)
 }
 
 // Artifact parameters: MTU junk at 4000 pps (~2.4x the 30k-slot
@@ -318,7 +202,7 @@ func FairFlood(o Options) (*Figure, error) {
 		specs[i].FlowFrames = fairFloodFlowFrames
 		specs[i].EgressPPS = fairFloodEgressPPS
 	}
-	outs, err := RunAllFairFloods(specs, o.Parallelism)
+	outs, err := Campaign("fairflood", specs, o.Parallelism, RunFairFlood, fairFloodKey)
 	if err != nil {
 		return nil, fmt.Errorf("fair flood: %w", err)
 	}

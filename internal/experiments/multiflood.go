@@ -12,9 +12,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/guest"
-	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/textplot"
 )
 
@@ -35,7 +32,8 @@ type MultiFloodSpec struct {
 	// selects cluster.DefaultQueueDepth.
 	QueueDepth uint64
 	// FloodSeconds is each attacker's transmit duration; zero derives
-	// 1.5x the victim's baseline so the flood outlives it.
+	// 1.5x the victim's baseline so the flood outlives it, and a
+	// negative, NaN or infinite value is an error.
 	FloodSeconds float64
 	// LinkLatencyUs is the one-way latency of every link; zero
 	// selects cluster.DefaultLatencyUs.
@@ -55,125 +53,53 @@ type MultiFloodOut struct {
 
 // RunMultiFlood executes one scenario: machines 0..N-1 are the
 // attackers, machine N the victim; every attacker link's forward
-// direction shares one bottleneck pipe into the victim.
+// direction shares one bottleneck pipe into the victim. Every
+// attacker addresses the victim machine directly; the NIC's routing
+// table resolves the frame onto the attacker's link into the
+// bottleneck. Transmitting through NetSend bills the tx path and
+// observes the wire's drop feedback; Offered counts what was actually
+// sent.
 func RunMultiFlood(spec MultiFloodSpec) (*MultiFloodOut, error) {
-	o := spec.Opts.norm()
 	if spec.Attackers < 1 {
 		return nil, fmt.Errorf("multiflood: need at least one attacker, have %d", spec.Attackers)
 	}
 	if spec.PerAttackerPPS == 0 {
 		return nil, fmt.Errorf("multiflood: zero per-attacker rate")
 	}
-	floodSec := spec.FloodSeconds
-	if floodSec == 0 {
-		s, err := (ClusterRunSpec{Victims: []ClusterVictim{spec.Victim}}).floodSeconds(o)
-		if err != nil {
-			return nil, err
-		}
-		floodSec = s
+	sc := &scenario{
+		o: spec.Opts.norm(), family: "multiflood", key: multiFloodKey(spec),
+		window: spec.FloodSeconds, windowField: "FloodSeconds",
 	}
-	tick := sim.Cycles(uint64(o.Freq) / o.HZ)
-	accts, err := victimAccountants(spec.Victim.Billing, tick)
-	if err != nil {
-		return nil, err
-	}
-
-	machines := make([]cluster.MachineSpec, 0, spec.Attackers+1)
-	pps := spec.PerAttackerPPS
-	packets := uint64(floodSec * float64(pps))
 	for a := 0; a < spec.Attackers; a++ {
-		cfg := o.machineConfig()
-		cfg.Seed = clusterSeed(o.Seed, a)
-		machines = append(machines, cluster.MachineSpec{
-			Config: cfg,
-			Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
-				// Every attacker addresses the victim machine directly;
-				// the NIC's routing table resolves the frame onto the
-				// attacker's link into the bottleneck. Transmitting
-				// through NetSend (floodBody) bills the tx path and
-				// observes the wire's drop feedback; Offered counts
-				// what was actually sent.
-				_, err := m.Spawn(guestSpawn(o, "pktgen", "junk-ip packet generator v2 (tx-path)",
-					floodBodyStep(o.Freq, pps, packets, guest.Frame{Dst: c.AddrOf(spec.Attackers)})))
-				return err
-			},
+		sc.roles = append(sc.roles, role{
+			kind: attacker, content: "junk-ip packet generator v2 (tx-path)",
+			pps: spec.PerAttackerPPS, dst: spec.Attackers,
 		})
-	}
-
-	var launch *launched
-	victimCfg := o.machineConfig()
-	victimCfg.Seed = clusterSeed(o.Seed, spec.Attackers)
-	victimCfg.Accountants = accts
-	machines = append(machines, cluster.MachineSpec{
-		Config: victimCfg,
-		Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-			l, err := launchSpec(m, RunSpec{
-				Opts:       o,
-				Workload:   spec.Victim.Workload,
-				VictimNice: spec.Victim.Nice,
-			})
-			if err != nil {
-				return err
-			}
-			launch = l
-			return nil
-		},
-	})
-
-	links := make([]cluster.LinkSpec, spec.Attackers)
-	for a := 0; a < spec.Attackers; a++ {
-		links[a] = cluster.LinkSpec{
+		sc.links = append(sc.links, cluster.LinkSpec{
 			From: a, To: spec.Attackers,
 			LatencyUs:        spec.LinkLatencyUs,
 			PacketsPerSecond: spec.BottleneckPPS,
 			QueueDepth:       spec.QueueDepth,
 			Bottleneck:       "victim-ingress",
-		}
+		})
 	}
-
-	cl, err := cluster.New(cluster.Config{Machines: machines, Links: links})
+	sc.roles = append(sc.roles, role{kind: host, victim: spec.Victim})
+	r, err := runScenario(sc)
 	if err != nil {
 		return nil, err
 	}
-	if err := cl.Run(); err != nil {
-		return nil, fmt.Errorf("multiflood %s: %w", multiFloodKey(spec), err)
-	}
-
-	vm := cl.Machine(spec.Attackers)
-	billing := spec.Victim.Billing
-	if billing == "" {
-		billing = "jiffy"
-	}
-	out := &MultiFloodOut{
-		Spec: spec,
-		Victim: ClusterVictimOut{
-			Billing:         billing,
-			Run:             launch.harvest(vm),
-			PacketsReceived: vm.NIC().Received(),
-		},
-	}
+	out := &MultiFloodOut{Spec: spec, Victim: r.hosts[0], ElapsedSec: r.elapsed}
 	for a := 0; a < spec.Attackers; a++ {
-		l := cl.Link(a)
+		l := r.cl.Link(a)
 		out.Offered += l.Sent()
 		out.Carried += l.Delivered()
 		out.Dropped += l.Dropped()
 	}
-	out.ElapsedSec = clusterElapsedSec(cl)
 	return out, nil
 }
 
 func multiFloodKey(spec MultiFloodSpec) string {
 	return fmt.Sprintf("%d-attackers/%dpps/%s", spec.Attackers, spec.PerAttackerPPS, spec.Victim.Billing)
-}
-
-// RunAllMultiFloods executes every scenario on its own lockstep
-// machine set across the campaign worker pool — the RunAll contract.
-//
-// Deprecated: RunAllMultiFloods is Campaign("multiflood", ...) over RunMultiFlood;
-// new callers should use Campaign directly. Kept as a thin wrapper
-// for the pre-generic API.
-func RunAllMultiFloods(specs []MultiFloodSpec, parallelism int) ([]*MultiFloodOut, error) {
-	return Campaign("multiflood", specs, parallelism, RunMultiFlood, multiFloodKey)
 }
 
 // multiFloodBottleneckPPS is the artifact's shared ingress capacity:
@@ -209,7 +135,7 @@ func MultiAttackerFlood(o Options) (*Figure, error) {
 			})
 		}
 	}
-	outs, err := RunAllMultiFloods(specs, o.Parallelism)
+	outs, err := Campaign("multiflood", specs, o.Parallelism, RunMultiFlood, multiFloodKey)
 	if err != nil {
 		return nil, fmt.Errorf("multi-attacker flood: %w", err)
 	}

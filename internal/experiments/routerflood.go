@@ -15,9 +15,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/guest"
-	"repro/internal/kernel"
-	"repro/internal/proc"
 	"repro/internal/sim"
 	"repro/internal/textplot"
 )
@@ -33,7 +30,8 @@ type RouterFloodSpec struct {
 	// attackers silent.
 	PerAttackerPPS uint64
 	// FloodSeconds is each attacker's transmit duration; zero derives
-	// 1.5x the victim's baseline.
+	// 1.5x the victim's baseline, and a negative, NaN or infinite value
+	// is an error.
 	FloodSeconds float64
 	// Victim is the billed job on the machine behind the router.
 	Victim ClusterVictim
@@ -86,198 +84,93 @@ type RouterFloodOut struct {
 // flow 0 and is drained unacked.
 const routerFloodFlowID = 7
 
-// RunRouterFlood executes one scenario: machines 0..A-1 are the
-// attackers, A the flow sender, A+1 the router (a Service machine
-// running cluster.Forwarder), A+2 the victim host (billed workload
-// plus the flow's echo daemon).
-func RunRouterFlood(spec RouterFloodSpec) (*RouterFloodOut, error) {
-	o := spec.Opts.norm()
-	if spec.Attackers < 1 {
-		return nil, fmt.Errorf("routerflood: need at least one attacker machine, have %d", spec.Attackers)
+// routedStar lays out the routed flood shared by routerflood and
+// chaosflood: machines 0..A-1 are the attackers, A the flow sender,
+// A+1 the router (a Service machine running cluster.Forwarder), A+2
+// the victim host (billed workload plus the flow's echo daemon). The
+// attackers send non-ECN junk addressed to the victim; the sender
+// runs the well-behaved ECN flow, labelled flowContent, with a
+// clock-driven retransmission timeout of flowTimeoutUs (zero keeps
+// the idle-tick heuristic). Every uplink meets at the router, whose
+// egress wire to the victim — the last link — carries the congestion
+// policy; static routes send victim-bound traffic through the router
+// and the victim's acks back the same way.
+func routedStar(family string, fl RouterFloodSpec, flowContent string, flowTimeoutUs uint64) (*scenario, error) {
+	if fl.Attackers < 1 {
+		return nil, fmt.Errorf("%s: need at least one attacker machine, have %d", family, fl.Attackers)
 	}
-	floodSec := spec.FloodSeconds
-	if floodSec == 0 {
-		s, err := (ClusterRunSpec{Victims: []ClusterVictim{spec.Victim}}).floodSeconds(o)
-		if err != nil {
-			return nil, err
-		}
-		floodSec = s
-	}
-	tick := sim.Cycles(uint64(o.Freq) / o.HZ)
-	accts, err := victimAccountants(spec.Victim.Billing, tick)
-	if err != nil {
-		return nil, err
-	}
-	lookupUs := spec.RouterLookupUs
-	if lookupUs == 0 {
-		lookupUs = cluster.DefaultForwardUs
-	}
+	o := fl.Opts.norm()
 	perUs := sim.Cycles(uint64(o.Freq) / 1_000_000)
-
-	senderIdx := spec.Attackers
-	routerIdx := spec.Attackers + 1
-	victimIdx := spec.Attackers + 2
-
-	machines := make([]cluster.MachineSpec, 0, victimIdx+1)
-
-	// Attackers: non-ECN junk addressed to the victim, resolved onto
-	// each attacker's uplink into the router by the routing table.
-	pps := spec.PerAttackerPPS
-	for a := 0; a < spec.Attackers; a++ {
-		cfg := o.machineConfig()
-		cfg.Seed = clusterSeed(o.Seed, a)
-		machines = append(machines, cluster.MachineSpec{
-			Name:   fmt.Sprintf("attacker-%d", a),
-			Config: cfg,
-			Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
-				if pps == 0 {
-					return nil // silent baseline
-				}
-				packets := uint64(floodSec * float64(pps))
-				_, err := m.Spawn(guestSpawn(o, "pktgen", "junk-ip packet generator v3 (routed)",
-					floodBodyStep(o.Freq, pps, packets, guest.Frame{Dst: c.AddrOf(victimIdx)})))
-				return err
-			},
+	senderIdx, routerIdx, victimIdx := fl.Attackers, fl.Attackers+1, fl.Attackers+2
+	sc := &scenario{o: o, family: family, window: fl.FloodSeconds, windowField: "FloodSeconds"}
+	for a := 0; a < fl.Attackers; a++ {
+		sc.roles = append(sc.roles, role{
+			kind: attacker, name: fmt.Sprintf("attacker-%d", a), content: "junk-ip packet generator v3 (routed)",
+			pps: fl.PerAttackerPPS, dst: victimIdx,
 		})
+		sc.links = append(sc.links, cluster.LinkSpec{From: a, To: routerIdx, LatencyUs: fl.LinkLatencyUs})
+		sc.routes = append(sc.routes, cluster.RouteSpec{On: a, Dst: victimIdx, Via: routerIdx})
 	}
-
-	// Sender: the well-behaved ECN flow.
-	flowStats := &AckFlowStats{}
-	senderCfg := o.machineConfig()
-	senderCfg.Seed = clusterSeed(o.Seed, senderIdx)
-	machines = append(machines, cluster.MachineSpec{
-		Name:   "sender",
-		Config: senderCfg,
-		Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
-			if spec.FlowFrames == 0 {
-				return nil
-			}
-			_, err := m.Spawn(guestSpawn(o, "flowsend", "ack-paced ecn sender v1",
-				AckPacedSenderStep(AckFlowConfig{
-					Peer:       c.AddrOf(victimIdx),
-					Flow:       routerFloodFlowID,
-					Frames:     spec.FlowFrames,
-					Window:     spec.FlowWindow,
-					PaceCycles: 500 * perUs, // ≤2k pps offered
-				}, flowStats)))
-			return err
-		},
-	})
-
-	// Router: a real billed machine running the forwarding daemon.
-	var routerPID proc.PID
-	routerCfg := o.machineConfig()
-	routerCfg.Seed = clusterSeed(o.Seed, routerIdx)
-	machines = append(machines, cluster.MachineSpec{
-		Name:    "router",
-		Config:  routerCfg,
-		Service: true,
-		Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-			p, err := m.Spawn(guestSpawn(o, "fwd", "store-and-forward router daemon v1",
-				cluster.ForwarderStep(sim.Cycles(lookupUs)*perUs)))
-			if p != nil {
-				routerPID = p.PID
-			}
-			return err
-		},
-	})
-
-	// Victim host: the billed workload plus the flow's echo daemon.
-	var launch *launched
-	victimCfg := o.machineConfig()
-	victimCfg.Seed = clusterSeed(o.Seed, victimIdx)
-	victimCfg.Accountants = accts
-	machines = append(machines, cluster.MachineSpec{
-		Name:   "victim",
-		Config: victimCfg,
-		// Only the echo daemon makes this a service machine; with no
-		// flow the workload keeps exact stall detection.
-		Service: spec.FlowFrames > 0,
-		Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-			if spec.FlowFrames > 0 {
-				if _, err := m.Spawn(guestSpawn(o, "echod", "per-flow ack echo daemon v1",
-					AckEchoStep(routerFloodFlowID))); err != nil {
-					return err
-				}
-			}
-			l, err := launchSpec(m, RunSpec{
-				Opts:       o,
-				Workload:   spec.Victim.Workload,
-				VictimNice: spec.Victim.Nice,
-			})
-			if err != nil {
-				return err
-			}
-			launch = l
-			return nil
-		},
-	})
-
-	// Star topology around the router; the egress hop carries the
-	// congestion policy. Static routes send victim-bound traffic
-	// through the router and the victim's acks back the same way.
-	links := make([]cluster.LinkSpec, 0, victimIdx)
-	for a := 0; a < spec.Attackers; a++ {
-		links = append(links, cluster.LinkSpec{From: a, To: routerIdx, LatencyUs: spec.LinkLatencyUs})
+	sc.roles = append(sc.roles,
+		role{kind: sender, name: "sender", content: flowContent, dst: victimIdx, flow: AckFlowConfig{
+			Flow:          routerFloodFlowID,
+			Frames:        fl.FlowFrames,
+			Window:        fl.FlowWindow,
+			PaceCycles:    500 * perUs, // ≤2k pps offered
+			TimeoutCycles: sim.Cycles(flowTimeoutUs) * perUs,
+		}},
+		role{kind: router, name: "router", lookupUs: orDefault(fl.RouterLookupUs, cluster.DefaultForwardUs)},
+		role{kind: host, name: "victim", victim: fl.Victim},
+	)
+	if fl.FlowFrames > 0 {
+		sc.roles[victimIdx].echo = routerFloodFlowID
 	}
-	links = append(links, cluster.LinkSpec{From: senderIdx, To: routerIdx, LatencyUs: spec.LinkLatencyUs})
-	egress := len(links)
-	links = append(links, cluster.LinkSpec{
-		From: routerIdx, To: victimIdx,
-		LatencyUs:        spec.LinkLatencyUs,
-		PacketsPerSecond: spec.EgressPPS,
-		QueueDepth:       spec.EgressQueueDepth,
-		RED:              spec.RED,
-	})
-	routes := make([]cluster.RouteSpec, 0, spec.Attackers+2)
-	for a := 0; a < spec.Attackers; a++ {
-		routes = append(routes, cluster.RouteSpec{On: a, Dst: victimIdx, Via: routerIdx})
-	}
-	routes = append(routes,
+	sc.links = append(sc.links,
+		cluster.LinkSpec{From: senderIdx, To: routerIdx, LatencyUs: fl.LinkLatencyUs},
+		cluster.LinkSpec{
+			From: routerIdx, To: victimIdx,
+			LatencyUs:        fl.LinkLatencyUs,
+			PacketsPerSecond: fl.EgressPPS,
+			QueueDepth:       fl.EgressQueueDepth,
+			RED:              fl.RED,
+		})
+	sc.routes = append(sc.routes,
 		cluster.RouteSpec{On: senderIdx, Dst: victimIdx, Via: routerIdx},
 		cluster.RouteSpec{On: victimIdx, Dst: senderIdx, Via: routerIdx},
 	)
+	return sc, nil
+}
 
-	cl, err := cluster.New(cluster.Config{Machines: machines, Links: links, Routes: routes})
+// RunRouterFlood executes one scenario on the routed star (see
+// routedStar).
+func RunRouterFlood(spec RouterFloodSpec) (*RouterFloodOut, error) {
+	sc, err := routedStar("routerflood", spec, "ack-paced ecn sender v1", 0)
 	if err != nil {
 		return nil, err
 	}
-	if err := cl.Run(); err != nil {
-		return nil, fmt.Errorf("routerflood %s: %w", routerFloodKey(spec), err)
+	sc.key = routerFloodKey(spec)
+	r, err := runScenario(sc)
+	if err != nil {
+		return nil, err
 	}
-	// The victim machine is marked Service for its echo daemon, so
-	// quiesce would also retire a stalled workload silently; make
-	// that case an error instead of a half-run harvest.
-	if launch.prog != nil && !launch.prog.Done {
-		return nil, fmt.Errorf("routerflood %s: victim workload retired before completion (stalled behind the service daemon?)", routerFloodKey(spec))
-	}
-
-	vm := cl.Machine(victimIdx)
-	rm := cl.Machine(routerIdx)
-	billing := spec.Victim.Billing
-	if billing == "" {
-		billing = "jiffy"
-	}
+	routerIdx := spec.Attackers + 1
+	rm := r.cl.Machine(routerIdx)
 	out := &RouterFloodOut{
-		Spec: spec,
-		Victim: ClusterVictimOut{
-			Billing:         billing,
-			Run:             launch.harvest(vm),
-			PacketsReceived: vm.NIC().Received(),
-		},
-		Router:          usageOf(rm, "fwd", routerPID),
+		Spec:            spec,
+		Victim:          r.hosts[0],
+		Router:          usageOf(rm, "fwd", r.pids[routerIdx][0]),
 		RouterForwarded: rm.NIC().Transmitted(),
 		RouterRxDropped: rm.RxBufDropped(),
-		Flow:            *flowStats,
-		ElapsedSec:      clusterElapsedSec(cl),
+		Flow:            r.flow,
+		ElapsedSec:      r.elapsed,
 	}
 	for a := 0; a < spec.Attackers; a++ {
-		l := cl.Link(a)
+		l := r.cl.Link(a)
 		out.Offered += l.Sent()
 		out.Carried += l.Delivered()
 		out.DroppedIngress += l.Dropped()
 	}
-	el := cl.Link(egress)
+	el := r.cl.Link(r.cl.Links() - 1)
 	out.EgressMarked = el.Marked()
 	out.EgressEarlyDropped = el.EarlyDropped()
 	out.EgressDropped = el.Dropped()
@@ -286,16 +179,6 @@ func RunRouterFlood(spec RouterFloodSpec) (*RouterFloodOut, error) {
 
 func routerFloodKey(spec RouterFloodSpec) string {
 	return fmt.Sprintf("%d-attackers/%dpps/%s", spec.Attackers, spec.PerAttackerPPS, spec.Victim.Billing)
-}
-
-// RunAllRouterFloods executes every scenario on its own lockstep
-// machine set across the campaign worker pool — the RunAll contract.
-//
-// Deprecated: RunAllRouterFloods is Campaign("routerflood", ...) over RunRouterFlood;
-// new callers should use Campaign directly. Kept as a thin wrapper
-// for the pre-generic API.
-func RunAllRouterFloods(specs []RouterFloodSpec, parallelism int) ([]*RouterFloodOut, error) {
-	return Campaign("routerflood", specs, parallelism, RunRouterFlood, routerFloodKey)
 }
 
 // Artifact parameters: two attackers share a router whose 30k-pps
@@ -333,7 +216,7 @@ func RouterFlood(o Options) (*Figure, error) {
 			FlowFrames:     routerFloodFlowFrames,
 		}
 	}
-	outs, err := RunAllRouterFloods(specs, o.Parallelism)
+	outs, err := Campaign("routerflood", specs, o.Parallelism, RunRouterFlood, routerFloodKey)
 	if err != nil {
 		return nil, fmt.Errorf("router flood: %w", err)
 	}

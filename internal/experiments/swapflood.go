@@ -14,11 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/guest"
-	"repro/internal/kernel"
 	"repro/internal/mem"
-	"repro/internal/proc"
-	"repro/internal/sim"
 	"repro/internal/textplot"
 )
 
@@ -33,10 +29,12 @@ type SwapFloodSpec struct {
 	Hog bool
 	// NeighborMemBytes sizes the neighbor machine's RAM; zero selects
 	// 1/8 of the victim host's (small enough that the hog pages
-	// constantly without needing a paper-scale footprint).
+	// constantly without needing a paper-scale footprint). Less than
+	// one page is an error.
 	NeighborMemBytes uint64
 	// HogSeconds bounds the hog's pressure window; zero derives 1.5x
-	// the victim's baseline so the pressure outlives the victim.
+	// the victim's baseline so the pressure outlives the victim, and a
+	// negative, NaN or infinite value is an error.
 	HogSeconds float64
 	// ServiceUs is the host-side service per remote page; zero
 	// selects cluster.DefaultSwapServiceUs.
@@ -74,119 +72,36 @@ const swapHogRate = 200
 // lockstep.
 func RunSwapFlood(spec SwapFloodSpec) (*SwapFloodOut, error) {
 	o := spec.Opts.norm()
-	tick := sim.Cycles(uint64(o.Freq) / o.HZ)
-	accts, err := victimAccountants(spec.Victim.Billing, tick)
-	if err != nil {
-		return nil, err
+	neighborMem := orDefault(spec.NeighborMemBytes, physMem(o)/8)
+	if neighborMem < mem.DefaultPageSize {
+		return nil, fmt.Errorf("swapflood: neighbor RAM of %d bytes (NeighborMemBytes, or 1/8 of Opts.PhysMemBytes when zero) is less than one %d-byte page",
+			neighborMem, mem.DefaultPageSize)
 	}
-	hogSec := spec.HogSeconds
-	if hogSec == 0 {
-		s, err := (ClusterRunSpec{Victims: []ClusterVictim{spec.Victim}}).floodSeconds(o)
-		if err != nil {
-			return nil, err
-		}
-		hogSec = s
-	}
-	neighborMem := spec.NeighborMemBytes
-	if neighborMem == 0 {
-		neighborMem = physMem(o) / 8
-	}
-
-	var launch *launched
-	hostCfg := o.machineConfig()
-	hostCfg.Seed = clusterSeed(o.Seed, 0)
-	hostCfg.Accountants = accts
-	neighborCfg := o.machineConfig()
-	neighborCfg.Seed = clusterSeed(o.Seed, 1)
-	neighborCfg.PhysMemBytes = neighborMem
-
-	// The hog sweeps a footprint of twice the neighbor's RAM, so
-	// after the first pass every store evicts a dirty page and
-	// swap-ins serialise on the shared device. The budget covers one
-	// full warmup sweep (minor faults, fast) plus hogSec worth of
-	// steady-state device-bound major faulting.
-	footprint := 2 * neighborMem
-	pages := footprint / mem.DefaultPageSize
-	touches := pages + uint64(hogSec*swapHogRate)
-
-	var hogPID proc.PID
-	machines := []cluster.MachineSpec{
-		{
-			Config: hostCfg,
-			Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-				l, err := launchSpec(m, RunSpec{
-					Opts:       o,
-					Workload:   spec.Victim.Workload,
-					VictimNice: spec.Victim.Nice,
-				})
-				if err != nil {
-					return err
-				}
-				launch = l
-				return nil
-			},
+	r, err := runScenario(&scenario{
+		o: o, family: "swapflood", key: swapFloodKey(spec),
+		window: spec.HogSeconds, windowField: "HogSeconds",
+		roles: []role{
+			{kind: host, victim: spec.Victim},
+			{kind: neighbour, hog: spec.Hog, memBytes: neighborMem},
 		},
-		{
-			Config: neighborCfg,
-			Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-				if !spec.Hog {
-					return nil // baseline: the neighbor is quiet
-				}
-				p, err := m.Spawn(kernel.SpawnConfig{
-					Name:    "memhog",
-					Content: "remote-swap memory exhaustion attack v1",
-					Body: func(ctx guest.Context) {
-						base := ctx.Call1("malloc", footprint)
-						for n := uint64(0); n < touches; n++ {
-							ctx.Store(base + (n%pages)*mem.DefaultPageSize)
-							ctx.Compute(2000)
-						}
-					},
-				})
-				if p != nil {
-					hogPID = p.PID
-				}
-				return err
-			},
-		},
-	}
-
-	cl, err := cluster.New(cluster.Config{
-		Machines: machines,
-		Links:    []cluster.LinkSpec{{From: 1, To: 0, LatencyUs: spec.LinkLatencyUs}},
-		SharedSwap: &cluster.SharedSwapSpec{
-			Host:      0,
-			Clients:   []int{1},
-			ServiceUs: spec.ServiceUs,
-		},
+		links: []cluster.LinkSpec{{From: 1, To: 0, LatencyUs: spec.LinkLatencyUs}},
+		swap:  &cluster.SharedSwapSpec{Host: 0, Clients: []int{1}, ServiceUs: spec.ServiceUs},
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := cl.Run(); err != nil {
-		return nil, fmt.Errorf("swapflood %s: %w", swapFloodKey(spec), err)
-	}
-
-	host, neighbor := cl.Machine(0), cl.Machine(1)
-	billing := spec.Victim.Billing
-	if billing == "" {
-		billing = "jiffy"
-	}
+	host, neighbor := r.cl.Machine(0), r.cl.Machine(1)
 	out := &SwapFloodOut{
-		Spec: spec,
-		Victim: ClusterVictimOut{
-			Billing:         billing,
-			Run:             launch.harvest(host),
-			PacketsReceived: host.NIC().Received(),
-		},
+		Spec:          spec,
+		Victim:        r.hosts[0],
 		RemoteReads:   neighbor.Disk().IOs(),
 		RemoteWrites:  neighbor.Disk().Writes(),
 		HostRxPackets: host.NIC().Received(),
+		ElapsedSec:    r.elapsed,
 	}
-	if hogPID != 0 {
-		out.HogMajorFaults = neighbor.Stats(hogPID).MajorFaults
+	if pids := r.pids[1]; len(pids) > 0 {
+		out.HogMajorFaults = neighbor.Stats(pids[0]).MajorFaults
 	}
-	out.ElapsedSec = clusterElapsedSec(cl)
 	return out, nil
 }
 
@@ -196,16 +111,6 @@ func swapFloodKey(spec SwapFloodSpec) string {
 		hog = "hog"
 	}
 	return fmt.Sprintf("%s/%s", hog, spec.Victim.Billing)
-}
-
-// RunAllSwapFloods executes every scenario on its own lockstep
-// machine set across the campaign worker pool — the RunAll contract.
-//
-// Deprecated: RunAllSwapFloods is Campaign("swapflood", ...) over RunSwapFlood;
-// new callers should use Campaign directly. Kept as a thin wrapper
-// for the pre-generic API.
-func RunAllSwapFloods(specs []SwapFloodSpec, parallelism int) ([]*SwapFloodOut, error) {
-	return Campaign("swapflood", specs, parallelism, RunSwapFlood, swapFloodKey)
 }
 
 // CrossMachineExceptionFlood regenerates the cluster-level exception
@@ -227,7 +132,7 @@ func CrossMachineExceptionFlood(o Options) (*Figure, error) {
 			})
 		}
 	}
-	outs, err := RunAllSwapFloods(specs, o.Parallelism)
+	outs, err := Campaign("swapflood", specs, o.Parallelism, RunSwapFlood, swapFloodKey)
 	if err != nil {
 		return nil, fmt.Errorf("cross-machine exception flood: %w", err)
 	}
