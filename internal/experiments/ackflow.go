@@ -103,11 +103,13 @@ type linkTarget struct {
 	frame cluster.Frame
 }
 
-// linkFloodStep returns the first cluster model's packet generator as
-// a resumable state machine: inject this slot's frame onto every
-// target link (host-side calls, fine mid-activation), bill one sendto,
-// sleep out the jittered slot, and repeat until `packets` slots are
-// spent. pc tracks which request the last activation posted.
+// linkFloodStep returns the cluster artifact's packet generator as a
+// resumable state machine: inject this slot's frame onto every target
+// link (host-side calls, fine mid-activation), bill one sendto, sleep
+// out the jittered slot, and repeat until `packets` slots are spent.
+// Unlike floodBodyStep it never touches the NIC's tx path and carries
+// no freq%pps remainder. pc tracks which request the last activation
+// posted.
 func linkFloodStep(freq sim.Hz, pps, packets uint64, targets []linkTarget) guest.Step {
 	interval := sim.Cycles(uint64(freq) / pps)
 	if interval == 0 {

@@ -16,8 +16,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/guest"
 	"repro/internal/kernel"
-	"repro/internal/proc"
-	"repro/internal/textplot"
 )
 
 // ChaosSpec is the fault-injection overlay on a routed-flood
@@ -172,36 +170,15 @@ func RunChaosFlood(spec ChaosFloodSpec) (*ChaosFloodOut, error) {
 	}
 
 	routerIdx := fl.Attackers + 1
-	routerPIDs := r.pids[routerIdx]
 	out := &ChaosFloodOut{
-		Spec:   spec,
-		Victim: r.hosts[0],
-		Router: PartyUsage{
-			Name: "fwd",
-			User: make(map[string]float64, len(Schemes)),
-			Sys:  make(map[string]float64, len(Schemes)),
-		},
-		RouterCrashed: r.cl.Crashed(routerIdx),
-		Flow:          r.flow,
-		ElapsedSec:    r.elapsed,
+		Spec:               spec,
+		Victim:             r.hosts[0],
+		RouterIncarnations: len(r.cl.Incarnations(routerIdx)),
+		RouterCrashed:      r.cl.Crashed(routerIdx),
+		Flow:               r.flow,
+		ElapsedSec:         r.elapsed,
 	}
-	incs := r.cl.Incarnations(routerIdx)
-	out.RouterIncarnations = len(incs)
-	for k, inc := range incs {
-		var pid proc.PID
-		if k < len(routerPIDs) {
-			pid = routerPIDs[k]
-		}
-		u := usageOf(inc, "fwd", pid)
-		for _, s := range Schemes {
-			out.Router.User[s] += u.User[s]
-			out.Router.Sys[s] += u.Sys[s]
-		}
-		out.RouterForwarded += inc.NIC().Transmitted()
-	}
-	if len(routerPIDs) > 0 {
-		out.Router.PID = routerPIDs[0]
-	}
+	out.Router, out.RouterForwarded = routerBill(r, routerIdx)
 	for i := 0; i < r.cl.Size(); i++ {
 		for _, inc := range r.cl.Incarnations(i) {
 			out.FaultsInjected += inc.FaultsInjected()
@@ -289,14 +266,8 @@ func ChaosFlood(o Options) (*Figure, error) {
 	for i, sc := range scenarios {
 		out := outs[i]
 		fig.Bars = append(fig.Bars,
-			textplot.Bar{Group: "router-fwd", Label: sc.label, Segments: []textplot.Segment{
-				{Name: "user", Value: out.Router.User["jiffy"]},
-				{Name: "system", Value: out.Router.Sys["jiffy"]},
-			}},
-			textplot.Bar{Group: "victim-host", Label: sc.label, Segments: []textplot.Segment{
-				{Name: "user", Value: out.Victim.Run.Victim.User["jiffy"]},
-				{Name: "system", Value: out.Victim.Run.Victim.Sys["jiffy"]},
-			}},
+			billBar("router-fwd", sc.label, out.Router, "jiffy"),
+			billBar("victim-host", sc.label, out.Victim.Run.Victim, "jiffy"),
 		)
 		ledger := "every link ledger balanced (Sent = Delivered + Dropped + Queued)"
 		if bad := out.Unbalanced(); len(bad) > 0 {

@@ -17,8 +17,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/metering"
-	"repro/internal/sim"
 	"repro/internal/textplot"
 )
 
@@ -97,38 +95,6 @@ type ClusterOut struct {
 	ElapsedSec float64
 }
 
-// clusterElapsedSec reports the slowest machine's virtual wall time —
-// the shared ElapsedSec semantics of every cluster harvest.
-func clusterElapsedSec(cl *cluster.Cluster) float64 {
-	var sec float64
-	for i := 0; i < cl.Size(); i++ {
-		if s := cl.Machine(i).Clock().Seconds(cl.Machine(i).Clock().Now()); s > sec {
-			sec = s
-		}
-	}
-	return sec
-}
-
-// victimAccountants builds the three schemes with the billing scheme
-// first, so the machine's getrusage-alike reads it.
-func victimAccountants(billing string, tick sim.Cycles) ([]metering.Accountant, error) {
-	mk := map[string]func() metering.Accountant{
-		"jiffy":         func() metering.Accountant { return metering.NewJiffy(tick) },
-		"tsc":           func() metering.Accountant { return metering.NewTSC() },
-		"process-aware": func() metering.Accountant { return metering.NewProcessAware() },
-	}
-	if _, ok := mk[billing]; !ok {
-		return nil, fmt.Errorf("cluster: unknown billing scheme %q (have %v)", billing, Schemes)
-	}
-	accts := []metering.Accountant{mk[billing]()}
-	for _, s := range Schemes {
-		if s != billing {
-			accts = append(accts, mk[s]())
-		}
-	}
-	return accts, nil
-}
-
 // RunCluster executes one flood scenario: machine 0 is the attacker,
 // machines 1..N are the victims, one attacker→victim link each. The
 // attacker's packet generator injects one frame per slot onto every
@@ -173,10 +139,9 @@ func clusterKey(spec ClusterRunSpec) string {
 	return fmt.Sprintf("%d-victims/%dpps", len(spec.Victims), spec.FloodPPS)
 }
 
-// victimBillSeconds reads a victim's billed (user, system) seconds
-// under its own machine's billing scheme.
-func victimBillSeconds(v ClusterVictimOut) (user, sys float64) {
-	return v.Run.Victim.User[v.Billing], v.Run.Victim.Sys[v.Billing]
+// hostBar is a victim host's bar, billed by the host's own scheme.
+func hostBar(group, label string, v ClusterVictimOut) textplot.Bar {
+	return billBar(group, label, v.Run.Victim, v.Billing)
 }
 
 // ClusterFlood regenerates the cross-machine interrupt-flood
@@ -222,15 +187,7 @@ func clusterFloodWith(o Options, linkPPS, queueDepth uint64) (*Figure, error) {
 			if pps > 0 {
 				label = fmt.Sprintf("%dk pps", pps/1000)
 			}
-			user, sys := victimBillSeconds(outs[ri].Victims[vi])
-			fig.Bars = append(fig.Bars, textplot.Bar{
-				Group: group,
-				Label: label,
-				Segments: []textplot.Segment{
-					{Name: "user", Value: user},
-					{Name: "system", Value: sys},
-				},
-			})
+			fig.Bars = append(fig.Bars, hostBar(group, label, outs[ri].Victims[vi]))
 		}
 	}
 	last := outs[len(outs)-1]

@@ -36,18 +36,20 @@ func (f *Figure) Render() string {
 	return sb.String()
 }
 
+// billBar is one stacked user/system bar of p's bill under scheme.
+func billBar(group, label string, p PartyUsage, scheme string) textplot.Bar {
+	return textplot.Bar{Group: group, Label: label, Segments: []textplot.Segment{
+		{Name: "user", Value: p.User[scheme]},
+		{Name: "system", Value: p.Sys[scheme]},
+	}}
+}
+
 // victimBars renders one workload's normal-vs-attack pair using the
 // billed (jiffy) numbers, as the paper's getrusage does.
 func victimBars(group string, normal, attacked *RunOut) []textplot.Bar {
 	return []textplot.Bar{
-		{Group: group, Label: "normal", Segments: []textplot.Segment{
-			{Name: "user", Value: normal.Victim.User["jiffy"]},
-			{Name: "system", Value: normal.Victim.Sys["jiffy"]},
-		}},
-		{Group: group, Label: "attack", Segments: []textplot.Segment{
-			{Name: "user", Value: attacked.Victim.User["jiffy"]},
-			{Name: "system", Value: attacked.Victim.Sys["jiffy"]},
-		}},
+		billBar(group, "normal", normal.Victim, "jiffy"),
+		billBar(group, "attack", attacked.Victim, "jiffy"),
 	}
 }
 
@@ -155,10 +157,7 @@ func schedulingSweep(o Options, id, victim string) (*Figure, error) {
 
 	addPair := func(group string, v, f *RunOut) {
 		fig.Bars = append(fig.Bars,
-			textplot.Bar{Group: group, Label: victim, Segments: []textplot.Segment{
-				{Name: "user", Value: v.Victim.User["jiffy"]},
-				{Name: "system", Value: v.Victim.Sys["jiffy"]},
-			}},
+			billBar(group, victim, v.Victim, "jiffy"),
 			textplot.Bar{Group: group, Label: "Fork", Segments: []textplot.Segment{
 				{Name: "user", Value: f.AttackerUser("jiffy")},
 				{Name: "system", Value: f.AttackerSys("jiffy")},

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/textplot"
 )
 
 // MultiFloodSpec describes one N-attackers → one-victim scenario
@@ -149,15 +148,7 @@ func MultiAttackerFlood(o Options) (*Figure, error) {
 	for bi, group := range groups {
 		for ni, n := range attackerCounts {
 			out := outs[bi*len(attackerCounts)+ni]
-			user, sys := victimBillSeconds(out.Victim)
-			fig.Bars = append(fig.Bars, textplot.Bar{
-				Group: group,
-				Label: fmt.Sprintf("%d attacker(s)", n),
-				Segments: []textplot.Segment{
-					{Name: "user", Value: user},
-					{Name: "system", Value: sys},
-				},
-			})
+			fig.Bars = append(fig.Bars, hostBar(group, fmt.Sprintf("%d attacker(s)", n), out.Victim))
 		}
 	}
 	worst := outs[len(attackerCounts)-1] // jiffy host, 4 attackers

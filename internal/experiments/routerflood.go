@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
-	"repro/internal/textplot"
 )
 
 // RouterFloodSpec describes one attackers → router → victim scenario
@@ -154,16 +153,14 @@ func RunRouterFlood(spec RouterFloodSpec) (*RouterFloodOut, error) {
 		return nil, err
 	}
 	routerIdx := spec.Attackers + 1
-	rm := r.cl.Machine(routerIdx)
 	out := &RouterFloodOut{
 		Spec:            spec,
 		Victim:          r.hosts[0],
-		Router:          usageOf(rm, "fwd", r.pids[routerIdx][0]),
-		RouterForwarded: rm.NIC().Transmitted(),
-		RouterRxDropped: rm.RxBufDropped(),
+		RouterRxDropped: r.cl.Machine(routerIdx).RxBufDropped(),
 		Flow:            r.flow,
 		ElapsedSec:      r.elapsed,
 	}
+	out.Router, out.RouterForwarded = routerBill(r, routerIdx)
 	for a := 0; a < spec.Attackers; a++ {
 		l := r.cl.Link(a)
 		out.Offered += l.Sent()
@@ -175,6 +172,28 @@ func RunRouterFlood(spec RouterFloodSpec) (*RouterFloodOut, error) {
 	out.EgressEarlyDropped = el.EarlyDropped()
 	out.EgressDropped = el.Dropped()
 	return out, nil
+}
+
+// routerBill sums the forwarding daemon's bill across schemes, and the
+// frames it retransmitted, over every incarnation of the router at
+// machine idx.
+func routerBill(r *ran, idx int) (bill PartyUsage, forwarded uint64) {
+	pids := r.pids[idx] // one per incarnation: each boot spawns the daemon
+	bill = PartyUsage{
+		Name: "fwd",
+		PID:  pids[0],
+		User: make(map[string]float64, len(Schemes)),
+		Sys:  make(map[string]float64, len(Schemes)),
+	}
+	for k, inc := range r.cl.Incarnations(idx) {
+		u := usageOf(inc, "fwd", pids[k])
+		for _, s := range Schemes {
+			bill.User[s] += u.User[s]
+			bill.Sys[s] += u.Sys[s]
+		}
+		forwarded += inc.NIC().Transmitted()
+	}
+	return bill, forwarded
 }
 
 func routerFloodKey(spec RouterFloodSpec) string {
@@ -233,14 +252,8 @@ func RouterFlood(o Options) (*Figure, error) {
 			label = fmt.Sprintf("%dk pps x2", pps/1000)
 		}
 		fig.Bars = append(fig.Bars,
-			textplot.Bar{Group: "router-fwd", Label: label, Segments: []textplot.Segment{
-				{Name: "user", Value: out.Router.User["jiffy"]},
-				{Name: "system", Value: out.Router.Sys["jiffy"]},
-			}},
-			textplot.Bar{Group: "victim-host", Label: label, Segments: []textplot.Segment{
-				{Name: "user", Value: out.Victim.Run.Victim.User["jiffy"]},
-				{Name: "system", Value: out.Victim.Run.Victim.Sys["jiffy"]},
-			}},
+			billBar("router-fwd", label, out.Router, "jiffy"),
+			billBar("victim-host", label, out.Victim.Run.Victim, "jiffy"),
 		)
 	}
 	quiet, worst := outs[0], outs[len(outs)-1]

@@ -14,7 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/guest"
 	"repro/internal/kernel"
-	"repro/internal/mem"
+	"repro/internal/metering"
 	"repro/internal/proc"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -111,10 +111,10 @@ type ran struct {
 	// pids lists, per machine, the PID its role's guest got at each
 	// boot (the router's across incarnations, the hog's).
 	pids [][]proc.PID
+	// launches holds each host's launched workload, by machine.
+	launches []*launched
 	// flow is the scenario's sender's harvest.
 	flow AckFlowStats
-	// window is the resolved transmit window.
-	window float64
 	// elapsed is the slowest machine's virtual wall time.
 	elapsed float64
 }
@@ -165,21 +165,45 @@ func clusterSeed(seed int64, i int) int64 {
 	return seed*1_000_003 + int64(i+1)
 }
 
-// resolve checks the scenario's durations and derives its window.
-func (sc *scenario) resolve() (float64, error) {
+// victimAccountants builds the three schemes with the billing scheme
+// first, so the machine's getrusage-alike reads it, and the other two
+// after it in Schemes order.
+func victimAccountants(billing string, tick sim.Cycles) ([]metering.Accountant, error) {
+	all := []metering.Accountant{metering.NewJiffy(tick), metering.NewTSC(), metering.NewProcessAware()} // Schemes order
+	for i, s := range Schemes {
+		if s == billing {
+			return append([]metering.Accountant{all[i]}, append(all[:i:i], all[i+1:]...)...), nil
+		}
+	}
+	return nil, fmt.Errorf("cluster: unknown billing scheme %q (have %v)", billing, Schemes)
+}
+
+// clusterElapsedSec reports the slowest machine's virtual wall time —
+// the shared ElapsedSec semantics of every cluster harvest.
+func clusterElapsedSec(cl *cluster.Cluster) float64 {
+	var sec float64
+	for i := 0; i < cl.Size(); i++ {
+		if s := cl.Machine(i).Clock().Seconds(cl.Machine(i).Clock().Now()); s > sec {
+			sec = s
+		}
+	}
+	return sec
+}
+
+// resolve checks the scenario's durations and derives a zero window.
+func (sc *scenario) resolve() error {
 	for _, d := range []struct {
 		field string
 		v     float64
 	}{{sc.windowField, sc.window}, {"RouterCrashSec", sc.crashSec}, {"RouterRestartSec", sc.restartSec}} {
 		if err := checkSeconds(sc.family, d.field, d.v); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if sc.restartSec > 0 && sc.crashSec == 0 {
-		return 0, fmt.Errorf("%s: RouterRestartSec %gs without RouterCrashSec (nothing to restart)", sc.family, sc.restartSec)
+		return fmt.Errorf("%s: RouterRestartSec %gs without RouterCrashSec (nothing to restart)", sc.family, sc.restartSec)
 	}
-	window := sc.window
-	if window == 0 {
+	if sc.window == 0 {
 		var victims []ClusterVictim
 		for _, r := range sc.roles {
 			if r.kind == host {
@@ -187,26 +211,27 @@ func (sc *scenario) resolve() (float64, error) {
 			}
 		}
 		var err error
-		if window, err = derivedWindow(sc.o, victims); err != nil {
-			return 0, err
+		if sc.window, err = derivedWindow(sc.o, victims); err != nil {
+			return err
 		}
 	}
-	if sc.crashSec > 0 && sc.crashSec >= 4*window {
-		return 0, fmt.Errorf("%s: RouterCrashSec %gs is past the scenario horizon (~%gs flood): the crash would never land", sc.family, sc.crashSec, window)
+	if sc.crashSec > 0 && sc.crashSec >= 4*sc.window {
+		return fmt.Errorf("%s: RouterCrashSec %gs is past the scenario horizon (~%gs flood): the crash would never land", sc.family, sc.crashSec, sc.window)
 	}
-	return window, nil
+	return nil
 }
 
 // runScenario builds the scenario's cluster, runs it to completion,
 // and harvests every victim host.
 func runScenario(sc *scenario) (*ran, error) {
 	o := sc.o
-	window, err := sc.resolve()
-	if err != nil {
+	if err := sc.resolve(); err != nil {
 		return nil, err
 	}
-	res := &ran{window: window, pids: make([][]proc.PID, len(sc.roles))}
-	launches := make([]*launched, len(sc.roles))
+	res := &ran{
+		pids:     make([][]proc.PID, len(sc.roles)),
+		launches: make([]*launched, len(sc.roles)),
+	}
 	tick := sim.Cycles(uint64(o.Freq) / o.HZ)
 
 	machines := make([]cluster.MachineSpec, len(sc.roles))
@@ -223,14 +248,16 @@ func runScenario(sc *scenario) (*ran, error) {
 			// Only an echo daemon makes a host a service machine;
 			// without one the workload keeps exact stall detection.
 			ms.Service = r.echo != 0
-			if ms.Config.Accountants, err = victimAccountants(billingOf(r.victim), tick); err != nil {
+			accts, err := victimAccountants(billingOf(r.victim), tick)
+			if err != nil {
 				return nil, err
 			}
+			ms.Config.Accountants = accts
 		case neighbour:
 			ms.Config.PhysMemBytes = r.memBytes
 		}
 		ms.Boot = func(c *cluster.Cluster, m *kernel.Machine) error {
-			return sc.boot(c, m, i, res, launches)
+			return sc.boot(c, m, i, res)
 		}
 		machines[i] = ms
 	}
@@ -250,7 +277,7 @@ func runScenario(sc *scenario) (*ran, error) {
 		// A service host's quiesce would also retire a stalled
 		// workload silently; make that an error instead of a half-run
 		// harvest.
-		l := launches[i]
+		l := res.launches[i]
 		if r.echo != 0 && l.prog != nil && !l.prog.Done {
 			return nil, fmt.Errorf("%s %s: victim workload retired before completion (stalled behind the service daemon?)", sc.family, sc.key)
 		}
@@ -265,7 +292,7 @@ func runScenario(sc *scenario) (*ran, error) {
 }
 
 // boot spawns machine i's role guests. It runs once per incarnation.
-func (sc *scenario) boot(c *cluster.Cluster, m *kernel.Machine, i int, res *ran, launches []*launched) error {
+func (sc *scenario) boot(c *cluster.Cluster, m *kernel.Machine, i int, res *ran) error {
 	r, o := sc.roles[i], sc.o
 	perUs := sim.Cycles(uint64(o.Freq) / 1_000_000)
 	spawn := func(cfg kernel.SpawnConfig) error {
@@ -280,7 +307,7 @@ func (sc *scenario) boot(c *cluster.Cluster, m *kernel.Machine, i int, res *ran,
 		if r.pps == 0 {
 			return nil // silent baseline: the machine finishes at boot
 		}
-		packets := uint64(res.window * float64(r.pps))
+		packets := uint64(sc.window * float64(r.pps))
 		if r.direct {
 			var targets []linkTarget
 			for li, l := range sc.links {
@@ -314,31 +341,13 @@ func (sc *scenario) boot(c *cluster.Cluster, m *kernel.Machine, i int, res *ran,
 		if err != nil {
 			return err
 		}
-		launches[i] = l
+		res.launches[i] = l
 		return nil
 	case neighbour:
 		if !r.hog {
 			return nil // baseline: the neighbour is quiet
 		}
-		// The hog sweeps a footprint of twice the neighbour's RAM, so
-		// after the first pass every store evicts a dirty page and
-		// swap-ins serialise on the shared device. The budget covers
-		// one full warmup sweep (minor faults, fast) plus the window's
-		// worth of steady-state device-bound major faulting.
-		footprint := 2 * r.memBytes
-		pages := footprint / mem.DefaultPageSize
-		touches := pages + uint64(res.window*swapHogRate)
-		return spawn(kernel.SpawnConfig{
-			Name:    "memhog",
-			Content: "remote-swap memory exhaustion attack v1",
-			Body: func(ctx guest.Context) {
-				base := ctx.Call1("malloc", footprint)
-				for n := uint64(0); n < touches; n++ {
-					ctx.Store(base + (n%pages)*mem.DefaultPageSize)
-					ctx.Compute(2000)
-				}
-			},
-		})
+		return spawn(memHog(r.memBytes, sc.window))
 	}
 	return nil
 }

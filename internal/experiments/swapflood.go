@@ -14,8 +14,9 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/guest"
+	"repro/internal/kernel"
 	"repro/internal/mem"
-	"repro/internal/textplot"
 )
 
 // SwapFloodSpec describes one shared-swap pressure scenario: machine
@@ -67,6 +68,28 @@ type SwapFloodOut struct {
 // virtual second. The budget only bounds the pressure window; the
 // actual rate is set by the (possibly contended) shared device.
 const swapHogRate = 200
+
+// memHog is the neighbour's memory hog over memBytes of RAM. It sweeps
+// a footprint of twice that, so after the first pass every store
+// evicts a dirty page and swap-ins serialise on the shared device.
+// The budget covers one full warmup sweep (minor faults, fast) plus
+// windowSec worth of steady-state device-bound major faulting.
+func memHog(memBytes uint64, windowSec float64) kernel.SpawnConfig {
+	footprint := 2 * memBytes
+	pages := footprint / mem.DefaultPageSize
+	touches := pages + uint64(windowSec*swapHogRate)
+	return kernel.SpawnConfig{
+		Name:    "memhog",
+		Content: "remote-swap memory exhaustion attack v1",
+		Body: func(ctx guest.Context) {
+			base := ctx.Call1("malloc", footprint)
+			for n := uint64(0); n < touches; n++ {
+				ctx.Store(base + (n%pages)*mem.DefaultPageSize)
+				ctx.Compute(2000)
+			}
+		},
+	}
+}
 
 // RunSwapFlood executes one shared-swap scenario in deterministic
 // lockstep.
@@ -146,16 +169,7 @@ func CrossMachineExceptionFlood(o Options) (*Figure, error) {
 	labels := []string{"no hog", "memhog neighbor"}
 	for bi, group := range groups {
 		for hi, label := range labels {
-			out := outs[bi*2+hi]
-			user, sys := victimBillSeconds(out.Victim)
-			fig.Bars = append(fig.Bars, textplot.Bar{
-				Group: group,
-				Label: label,
-				Segments: []textplot.Segment{
-					{Name: "user", Value: user},
-					{Name: "system", Value: sys},
-				},
-			})
+			fig.Bars = append(fig.Bars, hostBar(group, label, outs[bi*2+hi].Victim))
 		}
 	}
 	hogged := outs[1] // jiffy host under pressure
