@@ -869,6 +869,9 @@ func shellFrom(cfg Config) (c *Cluster, freq sim.Hz, perUs sim.Cycles, err error
 			}
 			seenNames[ms.Name] = i
 		}
+		if b := ms.Config.PhysMemBytes; b != 0 && b < mem.DefaultPageSize {
+			return nil, 0, 0, fmt.Errorf("cluster: machine %d PhysMemBytes %d is less than one %d-byte page", i, b, mem.DefaultPageSize)
+		}
 		if ms.RestartAfter > 0 && ms.CrashAt == 0 {
 			return nil, 0, 0, fmt.Errorf("cluster: machine %d sets RestartAfter without CrashAt (nothing to restart)", i)
 		}

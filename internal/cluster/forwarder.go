@@ -53,6 +53,7 @@ type forwarderStep struct {
 	fwdOp    guest.RetryOp
 	fwdDone  guest.RetryDone
 	wait     guest.Step
+	lookedUp guest.Step
 }
 
 // start is the first activation: bind the continuations, learn the
@@ -70,6 +71,7 @@ func (g *forwarderStep) start(ctx guest.Context, _ guest.Resume) guest.Step {
 	}
 	g.fwdDone = g.afterForward
 	g.wait = g.afterWait
+	g.lookedUp = g.afterLookup
 	ctx.NetRxWait(g.seen)
 	return g.wait
 }
@@ -92,7 +94,7 @@ func (g *forwarderStep) afterRecv(ctx guest.Context, r guest.Resume) guest.Step 
 	g.frame = r.Frame
 	if g.lookup > 0 {
 		ctx.Compute(g.lookup)
-		return g.afterLookup
+		return g.lookedUp
 	}
 	return g.route(ctx)
 }
@@ -131,6 +133,7 @@ func (g *forwarderStep) fork(cur guest.Step) (guest.Forked, error) {
 	}
 	c.fwdDone = c.afterForward
 	c.wait = c.afterWait
+	c.lookedUp = c.afterLookup
 	var op guest.RetryOp
 	var done guest.RetryDone
 	switch {

@@ -64,6 +64,15 @@ type forkChurn struct {
 	sleep  sim.Cycles
 	pages  uint64
 	i      int
+
+	// Continuations, bound once so activations allocate nothing.
+	next, computed, stored guest.Step
+}
+
+// bind binds the continuations to g and returns its first activation.
+func (g *forkChurn) bind() guest.Step {
+	g.next, g.computed, g.stored = g.run, g.afterCompute, g.afterStore
+	return g.next
 }
 
 func (g *forkChurn) run(ctx guest.Context, _ guest.Resume) guest.Step {
@@ -71,25 +80,26 @@ func (g *forkChurn) run(ctx guest.Context, _ guest.Resume) guest.Step {
 		return nil
 	}
 	ctx.Compute(g.burst)
-	return g.afterCompute
+	return g.computed
 }
 
 func (g *forkChurn) afterCompute(ctx guest.Context, _ guest.Resume) guest.Step {
 	ctx.Store(0x400000 + uint64(g.i)%g.pages*mem.DefaultPageSize)
-	return g.afterStore
+	return g.stored
 }
 
 func (g *forkChurn) afterStore(ctx guest.Context, _ guest.Resume) guest.Step {
 	g.i++
 	ctx.Sleep(g.sleep)
-	return g.run
+	return g.next
 }
 
 func (g *forkChurn) fork(cur guest.Step) (guest.Forked, error) {
 	c := *g
+	c.bind()
 	s, ok := guest.RebindStep(cur,
 		[]guest.Step{g.run, g.afterCompute, g.afterStore},
-		[]guest.Step{c.run, c.afterCompute, c.afterStore})
+		[]guest.Step{c.next, c.computed, c.stored})
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("forklab churn: unknown continuation")
 	}
@@ -103,6 +113,15 @@ type forkSender struct {
 	gap    sim.Cycles
 	i      int
 	fails  int
+
+	// Continuations, bound once so activations allocate nothing.
+	next, sent guest.Step
+}
+
+// bind binds the continuations to g and returns its first activation.
+func (g *forkSender) bind() guest.Step {
+	g.next, g.sent = g.run, g.afterSend
+	return g.next
 }
 
 func (g *forkSender) run(ctx guest.Context, _ guest.Resume) guest.Step {
@@ -112,7 +131,7 @@ func (g *forkSender) run(ctx guest.Context, _ guest.Resume) guest.Step {
 	g.i++
 	//simlint:errno-ok resumable post: the errno arrives in afterSend's Resume
 	ctx.NetSend(guest.Frame{Dst: 9, Flow: 7})
-	return g.afterSend
+	return g.sent
 }
 
 func (g *forkSender) afterSend(ctx guest.Context, r guest.Resume) guest.Step {
@@ -120,14 +139,15 @@ func (g *forkSender) afterSend(ctx guest.Context, r guest.Resume) guest.Step {
 		g.fails++
 	}
 	ctx.Sleep(ctx.Rand().Jitter(g.gap, g.gap/4+1))
-	return g.run
+	return g.next
 }
 
 func (g *forkSender) fork(cur guest.Step) (guest.Forked, error) {
 	c := *g
+	c.bind()
 	s, ok := guest.RebindStep(cur,
 		[]guest.Step{g.run, g.afterSend},
-		[]guest.Step{c.run, c.afterSend})
+		[]guest.Step{c.next, c.sent})
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("forklab sender: unknown continuation")
 	}
@@ -139,6 +159,13 @@ type forkWatcher struct {
 	rounds int
 	seen   uint64
 	i      int
+	next   guest.Step // run, bound once so activations allocate nothing
+}
+
+// bind binds the continuation to w and returns its first activation.
+func (w *forkWatcher) bind() guest.Step {
+	w.next = w.run
+	return w.next
 }
 
 func (w *forkWatcher) run(ctx guest.Context, r guest.Resume) guest.Step {
@@ -150,12 +177,13 @@ func (w *forkWatcher) run(ctx guest.Context, r guest.Resume) guest.Step {
 	}
 	w.i++
 	ctx.NetRxWait(w.seen)
-	return w.run
+	return w.next
 }
 
 func (w *forkWatcher) fork(cur guest.Step) (guest.Forked, error) {
 	c := *w
-	s, ok := guest.RebindStep(cur, []guest.Step{w.run}, []guest.Step{c.run})
+	c.bind()
+	s, ok := guest.RebindStep(cur, []guest.Step{w.run}, []guest.Step{c.next})
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("forklab watcher: unknown continuation")
 	}
@@ -180,9 +208,9 @@ func BuildForkLab(spec ForkLabSpec) (*kernel.Machine, error) {
 	sender := &forkSender{rounds: 50, gap: 120_000}
 	watcher := &forkWatcher{rounds: 30}
 	specs := []kernel.SpawnConfig{
-		{Name: "churn", Content: "forklab churn v1", Step: churn.run, Fork: churn.fork},
-		{Name: "sender", Content: "forklab sender v1", Nice: -5, Step: sender.run, Fork: sender.fork},
-		{Name: "watcher", Content: "forklab watcher v1", Step: watcher.run, Fork: watcher.fork},
+		{Name: "churn", Content: "forklab churn v1", Step: churn.bind(), Fork: churn.fork},
+		{Name: "sender", Content: "forklab sender v1", Nice: -5, Step: sender.bind(), Fork: sender.fork},
+		{Name: "watcher", Content: "forklab watcher v1", Step: watcher.bind(), Fork: watcher.fork},
 	}
 	for _, sc := range specs {
 		if _, err := m.Spawn(sc); err != nil {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/attacks"
 	"repro/internal/guest"
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/metering"
 	"repro/internal/proc"
 	"repro/internal/shell"
@@ -274,6 +275,10 @@ func (l *launched) harvest(m *kernel.Machine) *RunOut {
 
 // Run executes one victim/attack combination on a fresh machine.
 func Run(spec RunSpec) (*RunOut, error) {
+	if b := spec.Opts.PhysMemBytes; b != 0 && b < mem.DefaultPageSize {
+		return nil, fmt.Errorf("run %s/%s: PhysMemBytes %d is less than one %d-byte page",
+			spec.Workload, key(spec.Attack), b, mem.DefaultPageSize)
+	}
 	o := spec.Opts.norm()
 	m := kernel.New(o.machineConfig())
 	l, err := launchSpec(m, spec)

@@ -4,6 +4,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/kernel"
+	"repro/internal/mem"
 )
 
 // TestFloodSpecsRejectBadDurations checks that every flood family
@@ -108,5 +112,33 @@ func TestFloodSpecsRejectBadDurations(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.field)
 		}
+	}
+}
+
+// TestPhysMemBelowOnePageRejected: RAM smaller than one page cannot
+// hold a faulting page, so both machine builders refuse it up front,
+// naming the field, before any machine is built or run.
+func TestPhysMemBelowOnePageRejected(t *testing.T) {
+	for _, b := range []uint64{1, 1000, mem.DefaultPageSize - 1} {
+		o := quick()
+		o.PhysMemBytes = b
+		_, err := Run(RunSpec{Opts: o, Workload: "O"})
+		if err == nil || !strings.Contains(err.Error(), "PhysMemBytes") {
+			t.Errorf("Run with PhysMemBytes %d: err = %v, want one naming PhysMemBytes", b, err)
+		}
+		_, err = cluster.New(cluster.Config{Machines: []cluster.MachineSpec{
+			{Name: "ok"},
+			{Name: "tiny", Config: kernel.Config{PhysMemBytes: b}},
+		}})
+		if err == nil || !strings.Contains(err.Error(), "machine 1 PhysMemBytes") {
+			t.Errorf("cluster with PhysMemBytes %d: err = %v, want one naming machine 1's PhysMemBytes", b, err)
+		}
+	}
+	for _, b := range []uint64{0, mem.DefaultPageSize} {
+		c, err := cluster.New(cluster.Config{Machines: []cluster.MachineSpec{{Config: kernel.Config{PhysMemBytes: b}}}})
+		if err != nil {
+			t.Fatalf("cluster with PhysMemBytes %d: %v", b, err)
+		}
+		c.Shutdown()
 	}
 }

@@ -5,10 +5,21 @@
 // an attacker that over-commits physical memory forces the victim to
 // take page faults whose handler time is billed to the victim's
 // system time.
+//
+// The layout follows the hardware's. Each Space is a page table of
+// fixed-size leaves of uint32 entries (PTEs), found through a
+// directory keyed by the leaf's page number. A PTE is empty, swapped,
+// or names the physical frame that holds the page. Memory owns the
+// frame table: one entry per frame recording the owning page, with
+// the LRU list and the free list threaded through it as int32 links.
+// Neither array holds a pointer, so the garbage collector never scans
+// them, and a fault or a hit allocates nothing.
 package mem
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -56,24 +67,58 @@ type FaultResult struct {
 	SwapIn    bool
 }
 
-// pageState tracks one virtual page of one address space.
-type pageState struct {
-	space   *Space
-	vpage   uint64
-	present bool
-	swapped bool
-	dirty   bool
+// PTE values. A resident page's entry is pteFrame plus its frame's
+// index in Memory.frames.
+const (
+	pteNone    = 0 // never touched
+	pteSwapped = 1 // touched, now on swap: the next access is a major fault
+	pteFrame   = 2
+)
 
-	// LRU list linkage (intrusive, deterministic).
-	prev, next *pageState
+// leafBits sizes a page-table leaf: 64 entries, 256 bytes. Small
+// leaves keep a sparse space's table, and the cost of cloning it,
+// close to the pages it actually touched.
+const (
+	leafBits = 6
+	leafMask = 1<<leafBits - 1
+)
+
+// leaf is one page-table leaf: the PTEs of 64 consecutive pages.
+type leaf [1 << leafBits]uint32
+
+// nilFrame ends the LRU and free lists.
+const nilFrame = -1
+
+// minFrameTable is the frame table's first allocation, in frames.
+const minFrameTable = 16
+
+// frame is one physical frame's entry in the frame table. A resident
+// frame sits on the LRU list and records where its page's PTE is, a
+// reverse map that lets eviction reach the PTE without a directory
+// lookup; a free frame sits on the free list through next.
+type frame struct {
+	space      int32 // index into Memory.spaces
+	leaf       int32 // index into that space's leaves
+	prev, next int32 // list links, or nilFrame
+	slot       uint8 // the PTE's index in its leaf
+	dirty      bool
 }
 
 // Space is a per-process virtual address space.
 type Space struct {
-	mem   *Memory
-	name  string
-	pages map[uint64]*pageState
+	mem  *Memory
+	name string
+	id   int32 // index into Memory.spaces
 
+	// The page table: dir maps vpage>>leafBits to an index into
+	// leaves, which are kept in creation order. hotKey/hotLeaf cache
+	// the last directory hit (hotLeaf < 0: empty).
+	dir     map[uint64]int32
+	leaves  []leaf
+	hotKey  uint64
+	hotLeaf int32
+
+	touched    int // pages whose PTE is not pteNone
 	resident   int
 	minor      uint64
 	major      uint64
@@ -87,9 +132,13 @@ type Memory struct {
 	totalFrames int
 	usedFrames  int
 
-	// Intrusive LRU list of resident pages: head is least recently
-	// used, tail is most recently used.
-	lruHead, lruTail *pageState
+	// frames is the frame table. It grows by doubling, up to
+	// totalFrames, as frames are first needed. Resident frames form
+	// the LRU list (head is least recently used, tail most recently
+	// used); released and evicted frames form the free list.
+	frames           []frame
+	lruHead, lruTail int32
+	freeHead         int32
 
 	spaces   []*Space
 	swapIns  uint64
@@ -108,6 +157,9 @@ func New(physBytes, pageSize uint64) *Memory {
 	return &Memory{
 		pageSize:    pageSize,
 		totalFrames: int(physBytes / pageSize),
+		lruHead:     nilFrame,
+		lruTail:     nilFrame,
+		freeHead:    nilFrame,
 	}
 }
 
@@ -125,7 +177,7 @@ func (m *Memory) SwapTraffic() (ins, outs uint64) { return m.swapIns, m.swapOuts
 
 // NewSpace creates an address space labelled name for diagnostics.
 func (m *Memory) NewSpace(name string) *Space {
-	s := &Space{mem: m, name: name, pages: make(map[uint64]*pageState)}
+	s := &Space{mem: m, name: name, id: int32(len(m.spaces)), hotLeaf: -1}
 	m.spaces = append(m.spaces, s)
 	return s
 }
@@ -145,7 +197,26 @@ func (s *Space) EvictedOut() uint64 { return s.evictedOut }
 
 // FootprintPages returns the number of pages this space has ever
 // touched (resident or swapped).
-func (s *Space) FootprintPages() int { return len(s.pages) }
+func (s *Space) FootprintPages() int { return s.touched }
+
+// leafOf returns the index of vpage's leaf, adding an empty leaf if
+// it has none.
+func (s *Space) leafOf(vpage uint64) int32 {
+	key := vpage >> leafBits
+	if s.hotLeaf < 0 || s.hotKey != key {
+		i, ok := s.dir[key]
+		if !ok {
+			if s.dir == nil {
+				s.dir = make(map[uint64]int32)
+			}
+			i = int32(len(s.leaves))
+			s.leaves = append(s.leaves, leaf{})
+			s.dir[key] = i
+		}
+		s.hotKey, s.hotLeaf = key, i
+	}
+	return s.hotLeaf
+}
 
 // Touch performs one memory access at byte address addr. write marks
 // the page dirty. The returned FaultResult tells the kernel what to
@@ -155,117 +226,148 @@ func (s *Space) Touch(addr uint64, write bool) FaultResult {
 	if s.released {
 		panic(fmt.Sprintf("mem: touch on released space %q", s.name))
 	}
-	vpage := addr / s.mem.pageSize
-	p := s.pages[vpage]
-	if p == nil {
-		p = &pageState{space: s, vpage: vpage}
-		s.pages[vpage] = p
-	}
+	m := s.mem
+	vpage := addr / m.pageSize
+	li, slot := s.leafOf(vpage), uint8(vpage&leafMask)
+	pte := &s.leaves[li][slot]
 
-	if p.present {
-		s.mem.lruMoveToTail(p)
+	if e := *pte; e >= pteFrame {
+		f := int32(e - pteFrame)
+		m.lruMoveToTail(f)
 		if write {
-			p.dirty = true
+			m.frames[f].dirty = true
 		}
 		return FaultResult{Kind: NoFault}
 	}
 
-	// Fault path: need a frame.
+	// Fault path: need a frame. Evictions only rewrite existing
+	// PTEs, so pte stays valid.
 	res := FaultResult{Kind: MinorFault}
-	if p.swapped {
+	if *pte == pteSwapped {
 		res.Kind = MajorFault
 		res.SwapIn = true
-		s.mem.swapIns++
+		m.swapIns++
 		s.major++
 	} else {
 		s.minor++
+		s.touched++
 	}
 
-	for s.mem.usedFrames >= s.mem.totalFrames {
-		victim := s.mem.lruHead
-		if victim == nil {
+	for m.usedFrames >= m.totalFrames {
+		if m.lruHead == nilFrame {
 			panic("mem: frame accounting corrupt: no LRU victim but frames exhausted")
 		}
 		res.Evictions++
-		if s.mem.evict(victim) {
+		if m.evict(m.lruHead) {
 			res.SwapOuts++
 		}
 	}
 
-	p.present = true
-	p.swapped = false
-	p.dirty = write
-	s.mem.usedFrames++
+	f := m.allocFrame()
+	m.frames[f] = frame{space: s.id, leaf: li, slot: slot, dirty: write}
+	m.lruPushTail(f)
+	*pte = uint32(f) + pteFrame
+	m.usedFrames++
 	s.resident++
-	s.mem.lruPushTail(p)
 	return res
 }
 
 // Release frees every frame the space holds and forgets its pages,
-// modelling process exit.
+// modelling process exit. Leaves are walked in creation order, so the
+// free list's order depends only on the access history.
 func (s *Space) Release() {
 	if s.released {
 		return
 	}
-	for _, p := range s.pages {
-		if p.present {
-			s.mem.lruRemove(p)
-			s.mem.usedFrames--
+	m := s.mem
+	for i := range s.leaves {
+		for _, e := range &s.leaves[i] {
+			if e >= pteFrame {
+				f := int32(e - pteFrame)
+				m.lruRemove(f)
+				m.freeFrame(f)
+				m.usedFrames--
+			}
 		}
 	}
-	s.pages = nil
+	s.dir, s.leaves, s.hotLeaf = nil, nil, -1
+	s.touched = 0
 	s.resident = 0
 	s.released = true
 }
 
-// evict reclaims the frame backing p, swapping it out if dirty. It
-// reports whether a swap-out (disk write) was required.
-func (m *Memory) evict(p *pageState) (swappedOut bool) {
-	m.lruRemove(p)
-	p.present = false
-	p.swapped = true
-	if p.dirty {
+// evict reclaims frame f, swapping its page out if dirty. It reports
+// whether a swap-out (disk write) was required.
+func (m *Memory) evict(f int32) (swappedOut bool) {
+	fr := &m.frames[f]
+	s := m.spaces[fr.space]
+	s.leaves[fr.leaf][fr.slot] = pteSwapped
+	if fr.dirty {
 		m.swapOuts++
 		swappedOut = true
 	}
-	p.dirty = false
+	m.lruRemove(f)
+	m.freeFrame(f)
 	m.usedFrames--
-	p.space.resident--
-	p.space.evictedOut++
+	s.resident--
+	s.evictedOut++
 	return swappedOut
 }
 
-func (m *Memory) lruPushTail(p *pageState) {
-	p.prev = m.lruTail
-	p.next = nil
-	if m.lruTail != nil {
-		m.lruTail.next = p
-	} else {
-		m.lruHead = p
+// allocFrame takes a frame off the free list, or extends the frame
+// table by one, doubling its capacity up to totalFrames when full.
+// The caller has made room: usedFrames < totalFrames.
+func (m *Memory) allocFrame() int32 {
+	if f := m.freeHead; f != nilFrame {
+		m.freeHead = m.frames[f].next
+		return f
 	}
-	m.lruTail = p
+	n := len(m.frames)
+	if n == cap(m.frames) {
+		grown := make([]frame, n, min(max(2*n, minFrameTable), m.totalFrames))
+		copy(grown, m.frames)
+		m.frames = grown
+	}
+	m.frames = m.frames[:n+1]
+	return int32(n)
 }
 
-func (m *Memory) lruRemove(p *pageState) {
-	if p.prev != nil {
-		p.prev.next = p.next
-	} else {
-		m.lruHead = p.next
-	}
-	if p.next != nil {
-		p.next.prev = p.prev
-	} else {
-		m.lruTail = p.prev
-	}
-	p.prev, p.next = nil, nil
+func (m *Memory) freeFrame(f int32) {
+	m.frames[f] = frame{prev: nilFrame, next: m.freeHead}
+	m.freeHead = f
 }
 
-func (m *Memory) lruMoveToTail(p *pageState) {
-	if m.lruTail == p {
+func (m *Memory) lruPushTail(f int32) {
+	fr := &m.frames[f]
+	fr.prev, fr.next = m.lruTail, nilFrame
+	if m.lruTail != nilFrame {
+		m.frames[m.lruTail].next = f
+	} else {
+		m.lruHead = f
+	}
+	m.lruTail = f
+}
+
+func (m *Memory) lruRemove(f int32) {
+	fr := &m.frames[f]
+	if fr.prev != nilFrame {
+		m.frames[fr.prev].next = fr.next
+	} else {
+		m.lruHead = fr.next
+	}
+	if fr.next != nilFrame {
+		m.frames[fr.next].prev = fr.prev
+	} else {
+		m.lruTail = fr.prev
+	}
+}
+
+func (m *Memory) lruMoveToTail(f int32) {
+	if m.lruTail == f {
 		return
 	}
-	m.lruRemove(p)
-	m.lruPushTail(p)
+	m.lruRemove(f)
+	m.lruPushTail(f)
 }
 
 // DiskLatency models the swap device: cycles of wall time one page of
@@ -279,51 +381,22 @@ func DiskLatency(freq sim.Hz) sim.Cycles {
 
 // Clone returns an independent deep copy of the whole memory
 // subsystem for checkpoint restore, plus the old→new Space mapping so
-// callers can re-point their Space references. The intrusive LRU list
-// is rebuilt by walking head→tail, so future eviction order is
-// identical to the original's.
+// callers can re-point their Space references. The frame table and
+// every page-table leaf are copied verbatim, so the copy's LRU and
+// free lists, and with them its future eviction order, are the
+// original's; the cost grows with frames and leaves in use only.
 func (m *Memory) Clone() (*Memory, map[*Space]*Space) {
-	cm := &Memory{
-		pageSize:    m.pageSize,
-		totalFrames: m.totalFrames,
-		usedFrames:  m.usedFrames,
-		swapIns:     m.swapIns,
-		swapOuts:    m.swapOuts,
-	}
-	smap := make(map[*Space]*Space, len(m.spaces))
-	// pmap carries each page to its clone so the LRU walk below can
-	// link the copies in the original recency order.
-	var pmap map[*pageState]*pageState
-	var pages int
-	for _, s := range m.spaces {
-		pages += len(s.pages)
-	}
-	pmap = make(map[*pageState]*pageState, pages)
+	cm := *m
+	cm.frames = slices.Clone(m.frames)
 	cm.spaces = make([]*Space, len(m.spaces))
+	smap := make(map[*Space]*Space, len(m.spaces))
 	for i, s := range m.spaces {
-		cs := &Space{
-			mem:        cm,
-			name:       s.name,
-			resident:   s.resident,
-			minor:      s.minor,
-			major:      s.major,
-			evictedOut: s.evictedOut,
-			released:   s.released,
-		}
-		if s.pages != nil {
-			cs.pages = make(map[uint64]*pageState, len(s.pages))
-			//simlint:unordered-ok deep copy into a map keyed identically; no iteration-order-dependent state is produced
-			for vp, p := range s.pages {
-				cp := &pageState{space: cs, vpage: p.vpage, present: p.present, swapped: p.swapped, dirty: p.dirty}
-				cs.pages[vp] = cp
-				pmap[p] = cp
-			}
-		}
-		cm.spaces[i] = cs
-		smap[s] = cs
+		cs := *s
+		cs.mem = &cm
+		cs.dir = maps.Clone(s.dir)
+		cs.leaves = slices.Clone(s.leaves)
+		cm.spaces[i] = &cs
+		smap[s] = &cs
 	}
-	for p := m.lruHead; p != nil; p = p.next {
-		cm.lruPushTail(pmap[p])
-	}
-	return cm, smap
+	return &cm, smap
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -151,5 +152,247 @@ func TestFaultKindString(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Errorf("FaultKind(%d) = %q, want %q", int(k), got, want)
 		}
+	}
+}
+
+// spaceState is everything a Space reports about itself.
+type spaceState struct {
+	resident, footprint int
+	minor, major        uint64
+	evicted             uint64
+}
+
+func stateOf(s *Space) spaceState {
+	minor, major := s.Faults()
+	return spaceState{s.Resident(), s.FootprintPages(), minor, major, s.EvictedOut()}
+}
+
+// memState is everything a Memory and its spaces report.
+type memState struct {
+	used      int
+	ins, outs uint64
+	spaces    []spaceState
+}
+
+func memStateOf(m *Memory, spaces ...*Space) memState {
+	st := memState{used: m.UsedFrames()}
+	st.ins, st.outs = m.SwapTraffic()
+	for _, s := range spaces {
+		st.spaces = append(st.spaces, stateOf(s))
+	}
+	return st
+}
+
+// pressureTail is an access tail over two spaces that faults, hits,
+// evicts and swaps: a hog stream interleaved with a victim's working
+// set, at addresses spread over several page-table leaves.
+func pressureTail(n int) (addrs []uint64, hog []bool) {
+	for i := 0; i < n; i++ {
+		if i%3 == 0 {
+			addrs = append(addrs, uint64(i%11)*DefaultPageSize+1<<32)
+			hog = append(hog, false)
+		} else {
+			addrs = append(addrs, uint64(i*7%97)*DefaultPageSize)
+			hog = append(hog, true)
+		}
+	}
+	return addrs, hog
+}
+
+func TestCloneEquivalence(t *testing.T) {
+	m := New(16*DefaultPageSize, 0)
+	victim, hog := m.NewSpace("victim"), m.NewSpace("hog")
+	addrs, isHog := pressureTail(300)
+	for i, a := range addrs[:150] {
+		sp := victim
+		if isHog[i] {
+			sp = hog
+		}
+		sp.Touch(a, i%2 == 0)
+	}
+	if m.UsedFrames() != m.TotalFrames() {
+		t.Fatalf("setup left %d/%d frames used, want memory under pressure", m.UsedFrames(), m.TotalFrames())
+	}
+	before := memStateOf(m, victim, hog)
+
+	cm, smap := m.Clone()
+	cvictim, chog := smap[victim], smap[hog]
+	if got := memStateOf(cm, cvictim, chog); !reflect.DeepEqual(got, before) {
+		t.Fatalf("clone state = %+v, want %+v", got, before)
+	}
+	replay := func(v, h *Space) []FaultResult {
+		var out []FaultResult
+		for i, a := range addrs[150:] {
+			sp := v
+			if isHog[150+i] {
+				sp = h
+			}
+			out = append(out, sp.Touch(a, i%3 == 0))
+		}
+		return out
+	}
+	cloneRes := replay(cvictim, chog)
+	if got := memStateOf(m, victim, hog); !reflect.DeepEqual(got, before) {
+		t.Fatalf("original changed by the clone's accesses: %+v, want %+v", got, before)
+	}
+	origRes := replay(victim, hog)
+	if !reflect.DeepEqual(cloneRes, origRes) {
+		t.Fatalf("clone and original diverged:\n clone %v\n orig  %v", cloneRes, origRes)
+	}
+	if got, want := memStateOf(cm, cvictim, chog), memStateOf(m, victim, hog); !reflect.DeepEqual(got, want) {
+		t.Fatalf("clone counters %+v, original %+v", got, want)
+	}
+	var evictions int
+	for _, r := range origRes {
+		evictions += r.Evictions
+	}
+	if evictions == 0 {
+		t.Fatal("replayed tail evicted nothing; the test exercises no pressure")
+	}
+}
+
+func TestTouchHitAllocatesNothing(t *testing.T) {
+	m := New(64*DefaultPageSize, 0)
+	s := m.NewSpace("a")
+	for i := uint64(0); i < 64; i++ {
+		s.Touch(i*DefaultPageSize, false)
+	}
+	var i uint64
+	if n := testing.AllocsPerRun(1000, func() {
+		s.Touch(i%64*DefaultPageSize, i%2 == 0)
+		i++
+	}); n != 0 {
+		t.Fatalf("hit path allocates %v per touch, want 0", n)
+	}
+}
+
+func TestTouchEvictAllocatesNothing(t *testing.T) {
+	m := New(64*DefaultPageSize, 0)
+	s := m.NewSpace("a")
+	// Warm up: every page's leaf exists and the frame table is full.
+	for i := uint64(0); i < 256; i++ {
+		s.Touch(i*DefaultPageSize, true)
+	}
+	var i uint64
+	if n := testing.AllocsPerRun(1000, func() {
+		if res := s.Touch(i%256*DefaultPageSize, true); res.Evictions != 1 {
+			t.Fatalf("touch %d evicted %d frames, want 1", i, res.Evictions)
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("steady-state eviction allocates %v per touch, want 0", n)
+	}
+}
+
+func TestFrameTableGrowsOnDemand(t *testing.T) {
+	m := New(DefaultPhysBytes, 0)
+	if cap(m.frames) != 0 {
+		t.Fatalf("new Memory preallocated %d frames", cap(m.frames))
+	}
+	s := m.NewSpace("a")
+	for i := uint64(0); i < 100; i++ {
+		s.Touch(i*DefaultPageSize, false)
+	}
+	if c := cap(m.frames); c < 100 || c > 2*100 {
+		t.Fatalf("frame table capacity %d after 100 frames, want within 2x", c)
+	}
+	small := New(20*DefaultPageSize, 0)
+	sp := small.NewSpace("a")
+	for i := uint64(0); i < 100; i++ {
+		sp.Touch(i*DefaultPageSize, false)
+	}
+	if c := cap(small.frames); c != 20 {
+		t.Fatalf("frame table capacity %d, want capped at the 20 frames of RAM", c)
+	}
+}
+
+// TestPageTableHoldsNoPointers keeps the PTE leaves and the frame
+// table pointer-free, so the garbage collector never scans them.
+func TestPageTableHoldsNoPointers(t *testing.T) {
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			return true
+		case reflect.Array:
+			return pointerFree(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if !pointerFree(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	for _, ty := range []reflect.Type{reflect.TypeOf(leaf{}), reflect.TypeOf(frame{})} {
+		if !pointerFree(ty) {
+			t.Errorf("%v holds a pointer", ty)
+		}
+	}
+}
+
+// sink keeps benchmark results alive.
+var sink FaultResult
+
+func BenchmarkTouchHit(b *testing.B) {
+	const pages = 1024
+	s := New(pages*DefaultPageSize, 0).NewSpace("bench")
+	for i := uint64(0); i < pages; i++ {
+		s.Touch(i*DefaultPageSize, true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = s.Touch(uint64(i%pages)*DefaultPageSize, i&1 == 0)
+	}
+}
+
+// BenchmarkTouchEvict cycles through twice as many pages as there are
+// frames, after a warm-up pass, so every touch evicts one dirty page.
+func BenchmarkTouchEvict(b *testing.B) {
+	const frames = 1024
+	s := New(frames*DefaultPageSize, 0).NewSpace("bench")
+	for i := uint64(0); i < 2*frames; i++ {
+		s.Touch(i*DefaultPageSize, true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = s.Touch(uint64(i%(2*frames))*DefaultPageSize, true)
+	}
+}
+
+// BenchmarkTouchStream is the exception flood's pattern: one op is a
+// fresh Memory whose hog first-touches a footprint twice its RAM.
+func BenchmarkTouchStream(b *testing.B) {
+	const frames = 4096
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := New(frames*DefaultPageSize, 0).NewSpace("hog")
+		for p := uint64(0); p < 2*frames; p++ {
+			sink = s.Touch(p*DefaultPageSize, true)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*frames), "ns/touch")
+}
+
+// BenchmarkClone clones a machine-sized Memory under pressure: two
+// spaces holding 256 frames between them, with pages on swap.
+func BenchmarkClone(b *testing.B) {
+	m := New(256*DefaultPageSize, 0)
+	victim, hog := m.NewSpace("victim"), m.NewSpace("hog")
+	for i := uint64(0); i < 64; i++ {
+		victim.Touch(i*DefaultPageSize, i%2 == 0)
+	}
+	for i := uint64(0); i < 512; i++ {
+		hog.Touch(0x4000_0000+i*DefaultPageSize, true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Clone()
 	}
 }

@@ -74,15 +74,15 @@ func BuildBrute(p Params) (*guest.Program, *Result) {
 		Libs:    []string{"libc.so.6"},
 		Main: func(ctx guest.Context) {
 			found := make(chan string, 1)
-			// Candidate index decoding: i -> 4 letters.
-			word := func(i uint64) string {
-				b := []byte{
+			// Candidate index decoding: i -> 4 letters, built on the
+			// stack so hashing a candidate allocates nothing.
+			word := func(i uint64) [4]byte {
+				return [4]byte{
 					bruteAlphabet[(i/uint64(n*n*n))%uint64(n)],
 					bruteAlphabet[(i/uint64(n*n))%uint64(n)],
 					bruteAlphabet[(i/uint64(n))%uint64(n)],
 					bruteAlphabet[i%uint64(n)],
 				}
-				return string(b)
 			}
 
 			per := space / bruteThreads
@@ -103,10 +103,10 @@ func BuildBrute(p Params) (*guest.Program, *Result) {
 						// Hash the batch for real, then charge its
 						// modelled cost in one slice.
 						for i := start; i < end; i++ {
-							h := md5.Sum([]byte(word(i)))
-							if h == target {
+							w := word(i)
+							if md5.Sum(w[:]) == target {
 								select {
-								case found <- word(i):
+								case found <- string(w[:]):
 								default:
 								}
 							}
